@@ -48,7 +48,7 @@ let run_check paths require_mli =
 let check_term = Term.(const run_check $ paths $ require_mli)
 
 let check_cmd =
-  let doc = "Lint sources against the concurrency-discipline rules R1-R6." in
+  let doc = "Lint sources against the concurrency-discipline rules R1-R7." in
   Cmd.v (Cmd.info "check" ~doc) check_term
 
 let count_only =
@@ -147,6 +147,8 @@ let run_rules () =
       "missing-mli          R5: every lib/ module declares an .mli";
       "raw-obj              R6: no Obj.magic/Obj.repr/Obj.obj outside the \
        sanctioned uniform-representation modules (mc_segment_core, sched)";
+      "poly-compare         R7: no polymorphic min/max/compare (bare or \
+       Stdlib.) in lib/mcpool, lib/tasks; use Int.min/Int.max/Int.compare";
       "bad-suppression      suppression comments need a known rule and a reason";
       "";
       "Suppress a finding on its line or the line below, naming the rule";

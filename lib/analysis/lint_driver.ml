@@ -85,15 +85,21 @@ let suppression_findings ~file supps =
       else None)
     supps
 
-(* The directories whose randomness must be seed-threaded (R4). The checker
-   itself is included: schedule enumeration must be deterministic. *)
-let ban_random_for path =
+let under dirs path =
   let has sub =
     let n = String.length path and m = String.length sub in
     let rec find j = j + m <= n && (String.sub path j m = sub || find (j + 1)) in
     find 0
   in
-  List.exists has [ "lib/pool"; "lib/sim"; "lib/mcpool"; "lib/analysis" ]
+  List.exists has dirs
+
+(* The directories whose randomness must be seed-threaded (R4). The checker
+   itself is included: schedule enumeration must be deterministic. *)
+let ban_random_for = under [ "lib/pool"; "lib/sim"; "lib/mcpool"; "lib/analysis" ]
+
+(* The multicore pool and the task scheduler, whose hot paths must not pay
+   a generic-compare C call for an int min/max (R7). *)
+let ban_poly_compare_for = under [ "lib/mcpool"; "lib/tasks" ]
 
 (* The modules sanctioned to use raw [Obj] (R6): the segment core owns the
    ring's uniform-representation slots, and the scheduler's shims must
@@ -110,20 +116,29 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let lint_source ?ban_random ?allow_obj ~file source =
+let lint_source ?ban_random ?allow_obj ?ban_poly_compare ~file source =
   let ban_random =
     match ban_random with Some b -> b | None -> ban_random_for file
   in
   let allow_obj =
     match allow_obj with Some b -> b | None -> allow_obj_for file
   in
+  let ban_poly_compare =
+    match ban_poly_compare with
+    | Some b -> b
+    | None -> ban_poly_compare_for file
+  in
   let supps = scan_suppressions source in
-  let raw = Lint_rules.check_source ~file ~ban_random ~allow_obj source in
+  let raw =
+    Lint_rules.check_source ~file ~ban_random ~allow_obj ~ban_poly_compare
+      source
+  in
   let kept = List.filter (fun f -> not (suppressed supps f)) raw in
   List.sort Lint_rules.compare_findings (kept @ suppression_findings ~file supps)
 
-let lint_file ?ban_random ?allow_obj path =
-  lint_source ?ban_random ?allow_obj ~file:path (read_file path)
+let lint_file ?ban_random ?allow_obj ?ban_poly_compare path =
+  lint_source ?ban_random ?allow_obj ?ban_poly_compare ~file:path
+    (read_file path)
 
 let is_ml path = Filename.check_suffix path ".ml"
 

@@ -9,6 +9,7 @@
 val lint_source :
   ?ban_random:bool ->
   ?allow_obj:bool ->
+  ?ban_poly_compare:bool ->
   file:string ->
   string ->
   Lint_rules.finding list
@@ -16,10 +17,16 @@ val lint_source :
     in it. [ban_random] defaults from [file]'s path: banned under
     [lib/pool], [lib/sim], [lib/mcpool] and [lib/analysis]. [allow_obj]
     defaults from [file]'s basename: raw [Obj] is sanctioned only in
-    [mc_segment_core.ml] and [sched.ml]. Findings are sorted. *)
+    [mc_segment_core.ml] and [sched.ml]. [ban_poly_compare] defaults from
+    [file]'s path: banned under [lib/mcpool] and [lib/tasks]. Findings are
+    sorted. *)
 
 val lint_file :
-  ?ban_random:bool -> ?allow_obj:bool -> string -> Lint_rules.finding list
+  ?ban_random:bool ->
+  ?allow_obj:bool ->
+  ?ban_poly_compare:bool ->
+  string ->
+  Lint_rules.finding list
 (** [lint_file path] is {!lint_source} on the contents of [path]. *)
 
 val lint_tree : ?require_mli:bool -> string list -> Lint_rules.finding list

@@ -5,6 +5,7 @@ let non_atomic_rmw = "non-atomic-rmw"
 let blocking_under_lock = "blocking-under-lock"
 let ambient_random = "ambient-random"
 let raw_obj = "raw-obj"
+let poly_compare = "poly-compare"
 let missing_mli = "missing-mli"
 let bad_suppression = "bad-suppression"
 let parse_error = "parse-error"
@@ -16,6 +17,7 @@ let all_rules =
     blocking_under_lock;
     ambient_random;
     raw_obj;
+    poly_compare;
     missing_mli;
     bad_suppression;
     parse_error;
@@ -147,7 +149,19 @@ let raw_obj_name path =
   | Some ("Obj", (("magic" | "repr" | "obj") as fn)) -> Some ("Obj." ^ fn)
   | _ -> None
 
-let check_structure ~file ~ban_random ~allow_obj (str : Parsetree.structure) =
+(* R7: Stdlib's polymorphic ordering functions, bare or [Stdlib.]-qualified.
+   [min]/[max] are ordinary functions over the polymorphic comparison, so
+   they call the generic C compare even on ints; [compare] does whenever
+   its type is not known at the call site. *)
+let poly_compare_name path =
+  match path with
+  | [ (("min" | "max" | "compare") as fn) ]
+  | [ "Stdlib"; (("min" | "max" | "compare") as fn) ] ->
+    Some fn
+  | _ -> None
+
+let check_structure ~file ~ban_random ~allow_obj ~ban_poly_compare
+    (str : Parsetree.structure) =
   let findings = ref [] in
   let add (loc : Location.t) rule message =
     findings :=
@@ -207,16 +221,30 @@ let check_structure ~file ~ban_random ~allow_obj (str : Parsetree.structure) =
                  through a seeded generator (Cpool_util.Rng / Cpool_sim.Rng)"
                 name)
          | None -> ());
-      if not allow_obj then
-        match raw_obj_name path with
+      (if not allow_obj then
+         match raw_obj_name path with
+         | Some name ->
+           add e.pexp_loc raw_obj
+             (Printf.sprintf
+                "%s defeats the type system outside the sanctioned \
+                 uniform-representation modules (mc_segment_core, sched); keep \
+                 unsafe casts behind their certified boundaries or suppress \
+                 with (* lint: allow raw-obj -- <reason> *)"
+                name)
+         | None -> ());
+      if ban_poly_compare then
+        match poly_compare_name path with
         | Some name ->
-          add e.pexp_loc raw_obj
+          let cost =
+            if name = "compare" then "wherever its type is not fixed at the call site"
+            else "on every use, even on ints"
+          in
+          add e.pexp_loc poly_compare
             (Printf.sprintf
-               "%s defeats the type system outside the sanctioned \
-                uniform-representation modules (mc_segment_core, sched); keep \
-                unsafe casts behind their certified boundaries or suppress \
-                with (* lint: allow raw-obj -- <reason> *)"
-               name)
+               "polymorphic %s calls the generic structural comparison (a C \
+                call) %s; use Int.%s or the element type's own function, or \
+                suppress with (* lint: allow poly-compare -- <reason> *)"
+               name cost name)
         | None -> ()
   in
   let expr (it : Ast_iterator.iterator) (e : Parsetree.expression) =
@@ -305,11 +333,11 @@ let check_structure ~file ~ban_random ~allow_obj (str : Parsetree.structure) =
   it.structure it str;
   List.rev !findings
 
-let check_source ~file ~ban_random ~allow_obj source =
+let check_source ~file ~ban_random ~allow_obj ~ban_poly_compare source =
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf file;
   match Parse.implementation lexbuf with
-  | str -> check_structure ~file ~ban_random ~allow_obj str
+  | str -> check_structure ~file ~ban_random ~allow_obj ~ban_poly_compare str
   | exception e ->
     let line =
       match e with

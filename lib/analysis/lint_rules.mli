@@ -29,6 +29,14 @@
       uniform-representation container and are certified by the interleave
       scenarios ([mc_segment_core], [sched]); anywhere else they must carry
       a [(* lint: allow raw-obj -- <reason> *)].
+    - R7 [poly-compare] — no bare [min]/[max]/[compare] (nor their
+      [Stdlib.] forms) where [ban_poly_compare] is set: [min]/[max] always
+      call the generic structural comparison, a C call per use even on
+      ints, and [compare] does whenever its type is unknown at the call
+      site. Use [Int.min]/[Int.max]/[Int.compare] (or the element type's
+      own function), or suppress with
+      [(* lint: allow poly-compare -- <reason> *)]. A local binding that
+      shadows one of the three names is flagged too: rename it.
 
     R5 [missing-mli] is a filesystem property checked by {!Lint_driver}. *)
 
@@ -39,6 +47,7 @@ val non_atomic_rmw : string
 val blocking_under_lock : string
 val ambient_random : string
 val raw_obj : string
+val poly_compare : string
 val missing_mli : string
 val bad_suppression : string
 val parse_error : string
@@ -53,7 +62,13 @@ val pp : Format.formatter -> finding -> unit
 (** Renders ["file:line: [rule] message"]. *)
 
 val check_source :
-  file:string -> ban_random:bool -> allow_obj:bool -> string -> finding list
-(** [check_source ~file ~ban_random ~allow_obj source] parses [source]
+  file:string ->
+  ban_random:bool ->
+  allow_obj:bool ->
+  ban_poly_compare:bool ->
+  string ->
+  finding list
+(** [check_source ~file ~ban_random ~allow_obj ~ban_poly_compare source]
+    parses [source]
     (reporting a [parse-error] finding if it does not parse) and returns the
     raw AST-rule findings, before suppression filtering. *)

@@ -6,12 +6,12 @@
       {!acquire}/{!release} according to its access kind (atomic reads
       acquire, atomic writes and RMWs acquire and release, mutex lock
       acquires, unlock releases);
-    - the instrumented plain cells ([Sched.Prim.Plain]) report their
-      accesses through {!plain_read}/{!plain_write}, which raise {!Race}
-      when two fibers touch the same cell unsynchronized (at least one
-      writing) — the happens-before definition of a data race, caught on
-      {e any} explored interleaving, whether or not the racy pair executed
-      adjacently.
+    - the instrumented plain cells ([Sched.Prim.Plain], and each index of
+      a [Sched.Prim.Slots] array) report their accesses through
+      {!plain_read}/{!plain_write}, which raise {!Race} when two fibers
+      touch the same cell unsynchronized (at least one writing) — the
+      happens-before definition of a data race, caught on {e any} explored
+      interleaving, whether or not the racy pair executed adjacently.
 
     The thread clocks double as the happens-before oracle for the DPOR
     backtracking rule ({!snapshot}/{!ordered_before}). Edges are

@@ -139,6 +139,40 @@ module Prim = struct
     (* The sanctioned racy read: unchecked and unrecorded. *)
     let racy_get c = c.pv
   end
+
+  (* An array of plain cells with one object id per index, reported to the
+     race detector exactly like [Plain], so accesses to distinct indices
+     never conflict. The ids are taken as one consecutive block in index
+     order, the ids [n] successive [Plain.make]s would get: a scenario's
+     objects are numbered the same whether its cells come one by one or
+     as an array, so DPOR labels and race reports read alike. *)
+  module Slots = struct
+    type 'a t = { cells : 'a array; base_oid : int }
+
+    let make n v =
+      let cells = Array.make n v in
+      let base_oid = !obj_counter + 1 in
+      obj_counter := !obj_counter + n;
+      { cells; base_oid }
+
+    let length s = Array.length s.cells
+
+    let get s i =
+      (match !ctx with
+      | Some r when !active ->
+        Race.plain_read r.race ~tid:r.cur_tid ~oid:(s.base_oid + i)
+      | Some _ | None -> ());
+      s.cells.(i)
+
+    let set s i x =
+      (match !ctx with
+      | Some r when !active ->
+        Race.plain_write r.race ~tid:r.cur_tid ~oid:(s.base_oid + i)
+      | Some _ | None -> ());
+      s.cells.(i) <- x
+
+    let racy_get s i = s.cells.(i)
+  end
 end
 
 type status =

@@ -19,10 +19,11 @@
       linearizability failure or data race reachable by the exhaustive DFS
       is reached by the reduced one.
 
-    Plain cells ({!Prim.Plain}) are not scheduling points; their accesses
-    are instead checked against a vector-clock happens-before relation
-    ({!Race}), so an unsynchronized access pair raises [Race.Race] on any
-    explored interleaving, adjacent or not.
+    Plain cells ({!Prim.Plain}, and each index of a {!Prim.Slots} array)
+    are not scheduling points; their accesses are instead checked against a
+    vector-clock happens-before relation ({!Race}), so an unsynchronized
+    access pair raises [Race.Race] on any explored interleaving, adjacent
+    or not.
 
     A fiber attempting to lock a held mutex blocks (it is not schedulable
     until the holder unlocks); if no fiber is runnable and some are

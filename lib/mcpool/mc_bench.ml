@@ -140,7 +140,7 @@ let worker pool cell ~seed tally i barrier deadline_ns =
    the segment stats like any other op, so the attempt count must join the
    workers' in the [ops_attempted] accounting. *)
 let prefill pool ~capacity ~per_domain domains =
-  let quota = match capacity with None -> per_domain | Some c -> min per_domain c in
+  let quota = match capacity with None -> per_domain | Some c -> Int.min per_domain c in
   for s = 0 to domains - 1 do
     let h = Mc_pool.register_at pool s in
     for j = 1 to quota do

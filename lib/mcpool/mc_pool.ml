@@ -173,7 +173,7 @@ let of_config (c : Config.t) =
         {
           leaves;
           rounds = Array.init ((2 * leaves) - 1) (fun _ -> Atomic.make 0);
-          node_locks = Array.init (max 0 (leaves - 1)) (fun _ -> Mutex.create ());
+          node_locks = Array.init (Int.max 0 (leaves - 1)) (fun _ -> Mutex.create ());
         }
     | Linear | Random | Hinted -> None
   in
@@ -460,14 +460,14 @@ let try_remove_local t h =
   if traced && Mc_stats.inbox_drains sstats > drains0 then
     Mc_trace.record h.tracer Mc_trace.Mpsc_drain ~a1:h.pool_slot
       ~a2:(Mc_stats.inbox_drained sstats - drained0);
-  match r with
-  | Some x ->
+  (match r with
+  | Some _ ->
     Mc_stats.note_local_remove h.stats;
     if traced then
       Mc_trace.record h.tracer Mc_trace.Remove ~a1:h.pool_slot
-        ~a2:(Mc_segment.size seg);
-    Some x
-  | None -> None
+        ~a2:(Mc_segment.size seg)
+  | None -> ());
+  r
 
 let record_steal t h pos ~elements =
   Atomic.incr t.steal_count;
@@ -531,7 +531,7 @@ let attempt_steal t h pos =
     | Some _ ->
       let own = t.segs.(h.pool_slot) in
       let want = (Mc_segment.size victim + 1) / 2 in
-      let reserved = Mc_segment.reserve own (max 0 (want - 1)) in
+      let reserved = Mc_segment.reserve own (Int.max 0 (want - 1)) in
       (match Mc_segment.steal_half ~max_take:(reserved + 1) victim with
       | Cpool.Steal.Nothing ->
         Mc_segment.refill own ~reserved [];
@@ -709,7 +709,7 @@ and tree_pass t h =
       with_node_lock tree v (fun () ->
           let left_round = Atomic.get tree.rounds.(left) in
           let right_round = Atomic.get tree.rounds.(right) in
-          let newest = max left_round right_round in
+          let newest = Int.max left_round right_round in
           if newest > h.my_round then `Restart newest
           else begin
             Atomic.set tree.rounds.(child) h.my_round;
@@ -849,7 +849,7 @@ let hinted_hunt t h board =
         Mc_trace.record h.tracer Mc_trace.Hint_expire ~a1:me ~a2:0;
         Mc_trace.record h.tracer Mc_trace.Wake ~a1:me ~a2:0
       end;
-      round (min park_budget_cap (2 * budget))
+      round (Int.min park_budget_cap (2 * budget))
     | Mc_hints.Claim_pending -> claimed_wake budget 0
   and quiesce_parked budget =
     (* Everyone is searching — but our own hint must come down before the

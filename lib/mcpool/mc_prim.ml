@@ -32,10 +32,21 @@ module type PLAIN = sig
      happens-before race reporting; [get]/[set] remain fully checked. *)
 end
 
+module type SLOTS = sig
+  type 'a t
+
+  val make : int -> 'a -> 'a t
+  val length : 'a t -> int
+  val get : 'a t -> int -> 'a
+  val set : 'a t -> int -> 'a -> unit
+  val racy_get : 'a t -> int -> 'a
+end
+
 module type S = sig
   module Atomic : ATOMIC
   module Mutex : MUTEX
   module Plain : PLAIN
+  module Slots : SLOTS
 end
 
 module Real = struct
@@ -57,5 +68,16 @@ module Real = struct
     let get c = c.v
     let set c x = c.v <- x
     let racy_get = get
+  end
+
+  (* A bare array: one block for the whole ring, no per-slot box. *)
+  module Slots = struct
+    type 'a t = 'a array
+
+    let make = Array.make
+    let length = Array.length
+    let get = Array.get
+    let set = Array.set
+    let racy_get = Array.get
   end
 end

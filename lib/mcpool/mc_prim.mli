@@ -4,7 +4,13 @@
     segment code can run either on the hardware primitives ({!Real}) or on
     the interleaving checker's instrumented shims
     ([Cpool_analysis.Sched.Prim]), which turn every primitive operation into
-    a scheduling point and let a bounded DFS enumerate all interleavings. *)
+    a scheduling point and let a bounded DFS enumerate all interleavings.
+
+    Four modules: [Atomic] and [Mutex] are the synchronising operations
+    (scheduling points under the checker); [Plain] is one unsynchronised
+    cell and [Slots] a fixed-length array of them (race-checked under the
+    checker, never scheduling points). On hardware a [Slots.t] is one bare
+    array, so the segment's ring costs one block, not one box per slot. *)
 
 module type ATOMIC = sig
   type 'a t
@@ -41,11 +47,12 @@ module type MUTEX = sig
 end
 
 (** A tracked plain (non-atomic) mutable cell. Shared mutable state that is
-    deliberately unsynchronized — the ring's element slots, the owner-only
-    scrub cursor — lives in [Plain.t] rather than bare [mutable] fields so
-    the interleaving checker's shim can feed every access to its
-    happens-before race detector: an access the protocol does not actually
-    order gets reported instead of silently relying on luck. *)
+    deliberately unsynchronized — the owner-only scrub cursor here, the
+    ring's element slots in the array form {!SLOTS} — lives in tracked
+    cells rather than bare [mutable] fields so the interleaving checker's
+    shim can feed every access to its happens-before race detector: an
+    access the protocol does not actually order gets reported instead of
+    silently relying on luck. *)
 module type PLAIN = sig
   type 'a t
 
@@ -60,17 +67,39 @@ module type PLAIN = sig
       checker exempts it from race reporting; [get]/[set] stay checked. *)
 end
 
+(** A fixed-length array of tracked plain cells: [Plain] semantics per
+    index, without a separately allocated box per index. The segment's ring
+    slots live here. Under the checker every index is its own cell for race
+    detection (a write to slot [i] never conflicts with slot [j]); on
+    hardware it is a bare array. *)
+module type SLOTS = sig
+  type 'a t
+
+  val make : int -> 'a -> 'a t
+  (** [make n v]: [n] cells, all holding [v]. *)
+
+  val length : 'a t -> int
+  val get : 'a t -> int -> 'a
+  val set : 'a t -> int -> 'a -> unit
+
+  val racy_get : 'a t -> int -> 'a
+  (** The sanctioned racy read of one index, as {!PLAIN.racy_get}. *)
+end
+
 module type S = sig
   module Atomic : ATOMIC
   module Mutex : MUTEX
   module Plain : PLAIN
+  module Slots : SLOTS
 end
 
-(** The hardware primitives: [Stdlib.Atomic], [Stdlib.Mutex], and a bare
-    mutable record field for [Plain]; [make_padded] additionally re-homes
-    the atomic in a padded heap block. *)
+(** The hardware primitives: [Stdlib.Atomic], [Stdlib.Mutex], a bare
+    mutable record field for [Plain] and a bare ['a array] for [Slots];
+    [make_padded] additionally re-homes the atomic in a padded heap
+    block. *)
 module Real : sig
   module Atomic : ATOMIC with type 'a t = 'a Stdlib.Atomic.t
   module Mutex : MUTEX with type t = Stdlib.Mutex.t
   module Plain : PLAIN
+  module Slots : SLOTS
 end

@@ -47,6 +47,7 @@ val size : 'a t -> int
 val add : 'a t -> 'a -> unit
 (** [add s x] inserts unconditionally, ignoring any capacity (only safe on
     unbounded segments; the pool uses it for unbounded adds and banking).
+    On the fast path it allocates nothing unless the ring must grow.
     Owner only. *)
 
 val try_add : 'a t -> 'a -> bool
@@ -69,8 +70,8 @@ val try_remove : 'a t -> 'a option
     the ring, refilled from the spill inbox when the ring runs dry. Always
     lock-free: the take commits with one CAS on the front cursor, shared
     with stealers. (The pool is unordered — FIFO is a property of this
-    implementation, pinned by tests, not of the pool interface.) Owner
-    only. *)
+    implementation, pinned by tests, not of the pool interface.) On the
+    fast path its only allocation is the returned [Some]. Owner only. *)
 
 val steal_half : ?max_take:int -> 'a t -> 'a Cpool.Steal.loot
 (** [steal_half s] claims [min (ceil n/2) max_take] of the [n] ring

@@ -26,15 +26,18 @@ module Make (P : Mc_prim.S) = struct
   module Atomic = P.Atomic
   module Mutex = P.Mutex
   module Plain = P.Plain
+  module Slots = P.Slots
 
   type 'a atomic = 'a Atomic.t
   type mutex = Mutex.t
 
   (* Ring slots hold [Obj.repr]ed elements: one physical representation
      serves every ['a], so a vacated slot can be cleared with an immediate
-     (no dummy ['a] needed) and float elements are safe (['a array] would
-     flatten them and crash on an immediate filler). A [vacant] slot is
-     never read back as ['a]; the protocol below guarantees it. *)
+     (no dummy ['a] needed) and float elements are safe: the ring is made
+     from the immediate [vacant], so it is never a flat float array, and a
+     float element is stored as its box (an ['a array] of floats would be
+     flat and crash on an immediate filler). A [vacant] slot is never read
+     back as ['a]; the protocol below guarantees it. *)
   let vacant : Obj.t = Obj.repr 0
 
   let initial_ring = 8
@@ -98,20 +101,21 @@ module Make (P : Mc_prim.S) = struct
      visible and decrements after it is taken, so [count >= stored] always;
      on a bounded segment every increment goes through a CAS that refuses
      to exceed the bound, so capacity holds at every instant. *)
-  (* Ring slots are tracked [Plain] cells, not bare array elements: slot
-     reads and writes are exactly the shared plain accesses whose ordering
-     the protocol must prove (owner store -> [bottom] publish -> consumer
-     read), so routing them through [Plain] lets the checker's
-     happens-before race detector certify that proof on the shipped code.
-     The one deliberate exception — the consumer's pre-CAS window copy,
-     whose value is garbage unless the [top] CAS validates it — reads
-     through [Plain.racy_get]. *)
+  (* The ring is a [Slots] array. On hardware that is one flat [Obj.t]
+     array: a ring is one block, and an owner push allocates nothing. Under
+     the checker every index is a tracked plain cell: slot reads and writes
+     are exactly the shared plain accesses whose ordering the protocol must
+     prove (owner store -> [bottom] publish -> consumer read), so routing
+     them through [Slots] lets the checker's happens-before race detector
+     certify that proof on the shipped code. The one deliberate exception —
+     the consumer's pre-CAS window copy, whose value is garbage unless the
+     [top] CAS validates it — reads through [Slots.racy_get]. *)
   type 'a t = {
     seg_id : int;
     bound : int option;
     fast_path : bool; (* false = all-mutex baseline, for benchmarking *)
     mutex : Mutex.t;
-    ring : Obj.t Plain.t array Atomic.t; (* swapped only by the owner, on growth *)
+    ring : Obj.t Slots.t Atomic.t; (* swapped only by the owner, on growth *)
     top : int Atomic.t;
     bottom : int Atomic.t;
     scrub : int Plain.t; (* owner-only: slots [scrub, top) may need clearing *)
@@ -120,7 +124,7 @@ module Make (P : Mc_prim.S) = struct
     seg_stats : Mc_stats.t; (* path counters; see Mc_stats writer discipline *)
   }
 
-  let fresh_ring n = Array.init n (fun _ -> Plain.make vacant)
+  let fresh_ring n = Slots.make n vacant
 
   let make ?capacity ?(fast_path = true) ~id () =
     (match capacity with
@@ -147,7 +151,7 @@ module Make (P : Mc_prim.S) = struct
   let size s = Atomic.get s.count
 
   let spare s =
-    match s.bound with None -> max_int | Some c -> max 0 (c - Atomic.get s.count)
+    match s.bound with None -> max_int | Some c -> Int.max 0 (c - Atomic.get s.count)
 
   let stats s = s.seg_stats
 
@@ -163,10 +167,12 @@ module Make (P : Mc_prim.S) = struct
       Mutex.unlock s.mutex;
       raise e
 
-  (* Every public operation runs through [serialized]: a no-op with the
-     fast path on, the segment mutex otherwise. Under the mutex the same
-     cursor code runs with every CAS uncontended, so the baseline measures
-     the cost of serialization itself, not a second algorithm. *)
+  (* Every public operation runs serialized: directly with the fast path
+     on, under the segment mutex otherwise. Under the mutex the same cursor
+     code runs with every CAS uncontended, so the baseline measures the
+     cost of serialization itself, not a second algorithm. The owner's hot
+     operations ([add], [try_add], [try_remove]) spell the branch out, so
+     their fast path builds no closure; the rest go through [serialized]. *)
   let serialized s f = if s.fast_path then f () else with_lock s f
 
   let shift_count s d = ignore (Atomic.fetch_and_add s.count d)
@@ -177,12 +183,12 @@ module Make (P : Mc_prim.S) = struct
      can push [count] past [c], even transiently. *)
   let rec claim_up_to s ~bound:c k =
     let cur = Atomic.get s.count in
-    let granted = min k (max 0 (c - cur)) in
+    let granted = Int.min k (Int.max 0 (c - cur)) in
     if granted = 0 then 0
     else if Atomic.compare_and_set s.count cur (cur + granted) then granted
     else claim_up_to s ~bound:c k
 
-  let slot ring i = i land (Array.length ring - 1)
+  let slot ring i = i land (Slots.length ring - 1)
 
   (* Owner-only, lazy space-leak control: clear ring slots whose elements
      were claimed, so the GC can reclaim them (the Vec.release_slot
@@ -195,9 +201,9 @@ module Make (P : Mc_prim.S) = struct
     if Plain.get s.scrub < t then begin
       let ring = Atomic.get s.ring in
       let b = Atomic.get s.bottom in
-      let from = max (Plain.get s.scrub) (b - Array.length ring) in
+      let from = Int.max (Plain.get s.scrub) (b - Slots.length ring) in
       for i = from to t - 1 do
-        Plain.set ring.(slot ring i) vacant
+        Slots.set ring (slot ring i) vacant
       done;
       Plain.set s.scrub t
     end
@@ -210,64 +216,82 @@ module Make (P : Mc_prim.S) = struct
   let grow s ~extra =
     let old = Atomic.get s.ring in
     let t = Atomic.get s.top and b = Atomic.get s.bottom in
-    let cap = ref (max initial_ring (2 * Array.length old)) in
+    let cap = ref (Int.max initial_ring (2 * Slots.length old)) in
     while b - t + extra > !cap do
       cap := 2 * !cap
     done;
     let fresh = fresh_ring !cap in
     for i = t to b - 1 do
-      Plain.set fresh.(i land (!cap - 1)) (Plain.get old.(slot old i))
+      Slots.set fresh (i land (!cap - 1)) (Slots.get old (slot old i))
     done;
     Plain.set s.scrub t;
     ignore (Atomic.exchange s.ring fresh);
     fresh
 
+  (* The owner's store window for [n] elements from index [b]: the current
+     ring when it has room, else a grown one. Room is judged against a
+     fresh [top] read; a stale (small) value only makes the check
+     conservative (grows early, never overwrites live). *)
+  let room_for s ~b n =
+    let ring = Atomic.get s.ring in
+    if b + n - Atomic.get s.top <= Slots.length ring then ring
+    else grow s ~extra:n
+
+  let rec store_all ring i = function
+    | [] -> ()
+    | x :: tl ->
+      Slots.set ring (slot ring i) (Obj.repr x);
+      store_all ring (i + 1) tl
+
   (* Owner batch store of [n >= 1] elements, published with ONE atomic
      add on [bottom] — [bottom]'s single writer is the owner, so the add
      is a store of [b + n], and the atomic write is what makes the plain
-     slot stores visible to any consumer that reads the new [bottom].
-     Room is judged against a fresh [top] read; a stale (small) value only
-     makes the check conservative (grows early, never overwrites live). *)
+     slot stores visible to any consumer that reads the new [bottom]. *)
   let push_many s xs n =
     scrub_consumed s;
     let b = Atomic.get s.bottom in
-    let ring = Atomic.get s.ring in
-    let ring =
-      if b + n - Atomic.get s.top <= Array.length ring then ring
-      else grow s ~extra:n
-    in
-    List.iteri (fun i x -> Plain.set ring.(slot ring (b + i)) (Obj.repr x)) xs;
+    let ring = room_for s ~b n in
+    store_all ring b xs;
     ignore (Atomic.fetch_and_add s.bottom n)
 
   let note_push s =
     if s.fast_path then Mc_stats.note_fast_push s.seg_stats
     else Mc_stats.note_locked_push s.seg_stats
 
+  (* [push_many] for one element, stored directly: no list cell, no
+     closure — the owner's add allocates nothing unless the ring grows. *)
   let push_one s x =
-    push_many s [ x ] 1;
+    scrub_consumed s;
+    let b = Atomic.get s.bottom in
+    let ring = room_for s ~b 1 in
+    Slots.set ring (slot ring b) (Obj.repr x);
+    ignore (Atomic.fetch_and_add s.bottom 1);
     note_push s
 
+  (* Count first, store second: [count >= stored] must hold at every
+     instant or a concurrent steal's decrement could drive it negative. *)
+  let add_owned s x =
+    shift_count s 1;
+    push_one s x
+
   let add s x =
-    serialized s (fun () ->
-        (* Count first, store second: [count >= stored] must hold at every
-           instant or a concurrent steal's decrement could drive it
-           negative. *)
-        shift_count s 1;
-        push_one s x)
+    if s.fast_path then add_owned s x else with_lock s (fun () -> add_owned s x)
+
+  let try_add_owned s x =
+    match s.bound with
+    | None ->
+      add_owned s x;
+      true
+    | Some c ->
+      if claim_up_to s ~bound:c 1 = 0 then false
+      else begin
+        push_one s x;
+        true
+      end
 
   let try_add s x =
-    serialized s (fun () ->
-        match s.bound with
-        | None ->
-          shift_count s 1;
-          push_one s x;
-          true
-        | Some c ->
-          if claim_up_to s ~bound:c 1 = 0 then false
-          else begin
-            push_one s x;
-            true
-          end)
+    if s.fast_path then try_add_owned s x
+    else with_lock s (fun () -> try_add_owned s x)
 
   (* Foreign add (the pool's spill path): only the owner may touch the
      ring, so other domains CAS-push onto the MPSC inbox. Capacity is
@@ -310,7 +334,7 @@ module Make (P : Mc_prim.S) = struct
      let n = b - t in
      if n <= 0 then []
      else begin
-       let w = min (if halve then (n + 1) / 2 else n) want in
+       let w = Int.min (if halve then (n + 1) / 2 else n) want in
        let ring = Atomic.get s.ring in
        let buf = Array.make w vacant in
        for i = 0 to w - 1 do
@@ -318,7 +342,7 @@ module Make (P : Mc_prim.S) = struct
             index) or scrub makes this copy garbage, but then [top] has
             moved past [t] and the CAS below fails, discarding it — see the
             overwrite note on the type. *)
-         buf.(i) <- Plain.racy_get ring.(slot ring (t + i))
+         buf.(i) <- Slots.racy_get ring (slot ring (t + i))
        done;
        if Atomic.compare_and_set s.top t (t + w) then begin
          shift_count s (-w);
@@ -344,7 +368,7 @@ module Make (P : Mc_prim.S) = struct
      if b - t <= 0 then None
      else begin
        let ring = Atomic.get s.ring in
-       let x = Plain.racy_get ring.(slot ring t) in
+       let x = Slots.racy_get ring (slot ring t) in
        if Atomic.compare_and_set s.top t (t + 1) then begin
          shift_count s (-1);
          Some (Obj.obj x : 'a)
@@ -378,22 +402,25 @@ module Make (P : Mc_prim.S) = struct
     if s.fast_path then Mc_stats.note_fast_pop s.seg_stats
     else Mc_stats.note_locked_pop s.seg_stats
 
+  let try_remove_owned s =
+    if Atomic.get s.count = 0 then begin
+      (* Idle moment: finish clearing consumed slots (a no-op when already
+         clean), so a drained segment pins no dead elements. *)
+      scrub_consumed s;
+      None
+    end
+    else
+      match pop s with
+      | Some _ as r ->
+        note_pop s;
+        r
+      | None ->
+        scrub_consumed s;
+        None
+
   let try_remove s =
-    serialized s (fun () ->
-        if Atomic.get s.count = 0 then begin
-          (* Idle moment: finish clearing consumed slots (a no-op when
-             already clean), so a drained segment pins no dead elements. *)
-          scrub_consumed s;
-          None
-        end
-        else
-          match pop s with
-          | Some _ as r ->
-            note_pop s;
-            r
-          | None ->
-            scrub_consumed s;
-            None)
+    if s.fast_path then try_remove_owned s
+    else with_lock s (fun () -> try_remove_owned s)
 
   (* Steal fallback when the ring is dry: lift single cells off the MPSC
      stack. Cells are fresh blocks and never re-pushed, so the
@@ -413,7 +440,7 @@ module Make (P : Mc_prim.S) = struct
     let m = List.length (Atomic.get s.inbox) in
     if m = 0 then []
     else begin
-      let k = min ((m + 1) / 2) max_take in
+      let k = Int.min ((m + 1) / 2) max_take in
       let rec take acc k =
         if k = 0 then List.rev acc
         else
@@ -429,8 +456,11 @@ module Make (P : Mc_prim.S) = struct
   let steal_half ?(max_take = max_int) s =
     if max_take < 1 then invalid_arg "Mc_segment.steal_half: max_take must be >= 1";
     serialized s (fun () ->
-        let taken = claim_ring s ~want:max_take ~halve:true in
-        let taken = if taken <> [] then taken else steal_inbox s max_take in
+        let taken =
+          match claim_ring s ~want:max_take ~halve:true with
+          | [] -> steal_inbox s max_take
+          | _ :: _ as taken -> taken
+        in
         match taken with
         | [] -> Cpool.Steal.Nothing
         | [ x ] -> Cpool.Steal.Single x

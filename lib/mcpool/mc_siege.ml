@@ -56,7 +56,7 @@ module Arrival = struct
   let next_gap_ns t =
     match t.spec with
     | Poisson { mean_gap_ns } ->
-      max 1 (int_of_float (exp_draw t.rng mean_gap_ns))
+      Int.max 1 (int_of_float (exp_draw t.rng mean_gap_ns))
     | Bursty b ->
       let gap = ref 0.0 in
       let arrival_gap = ref (exp_draw t.rng b.burst_gap_ns) in
@@ -70,7 +70,7 @@ module Arrival = struct
         arrival_gap := exp_draw t.rng b.burst_gap_ns
       done;
       b.window_left_ns <- b.window_left_ns -. !arrival_gap;
-      max 1 (int_of_float (gap.contents +. !arrival_gap))
+      Int.max 1 (int_of_float (gap.contents +. !arrival_gap))
 end
 
 type config = {
@@ -234,7 +234,7 @@ let worker pool cfg ~arrival ~per_rate role hist tally i barrier deadline_ns =
 let is_broken cfg p =
   (p.generated > 0 && p.completed = 0)
   || p.rejected > p.generated / 20
-  || p.backlog > max 64 (p.generated / 5)
+  || p.backlog > Int.max 64 (p.generated / 5)
   || p.lagged > p.generated / 10
   || ((not (Float.is_nan p.p99_us)) && p.p99_us > cfg.p99_bound_us)
 

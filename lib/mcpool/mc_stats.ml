@@ -97,7 +97,7 @@ let create () =
     }
 
 let bump buckets v =
-  let i = if v < 0 then 0 else min v bucket_limit in
+  let i = if v < 0 then 0 else Int.min v bucket_limit in
   buckets.(i) <- buckets.(i) + 1
 
 let note_add s = s.adds <- s.adds + 1

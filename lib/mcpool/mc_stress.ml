@@ -75,7 +75,7 @@ let prefill pool cfg =
   let per_slot =
     match cfg.capacity with
     | None -> cfg.workload.Cpool_intf.Workload.initial
-    | Some c -> min cfg.workload.Cpool_intf.Workload.initial c
+    | Some c -> Int.min cfg.workload.Cpool_intf.Workload.initial c
   in
   let added = ref 0 in
   for s = 0 to p - 1 do

@@ -152,7 +152,7 @@ let record t tag ~a1 ~a2 =
 
 let recorded t = t.head
 
-let dropped t = max 0 (t.head - t.cap)
+let dropped t = Int.max 0 (t.head - t.cap)
 
 let count t tag = t.tag_counts.(tag_index tag)
 
@@ -161,7 +161,7 @@ let arg_total t tag = t.tag_arg_totals.(tag_index tag)
 type event = { ts_ns : int; ev_domain : int; tag : tag; a1 : int; a2 : int }
 
 let events t =
-  let n = min t.head t.cap in
+  let n = Int.min t.head t.cap in
   List.init n (fun k ->
       let i = (t.head - n + k) land t.mask in
       {
@@ -176,8 +176,8 @@ let merge tracers =
   let all = List.concat_map events tracers in
   List.stable_sort
     (fun a b ->
-      match compare a.ts_ns b.ts_ns with
-      | 0 -> compare a.ev_domain b.ev_domain
+      match Int.compare a.ts_ns b.ts_ns with
+      | 0 -> Int.compare a.ev_domain b.ev_domain
       | c -> c)
     all
 
@@ -252,7 +252,7 @@ let chrome_doc groups =
   let t0 =
     List.fold_left
       (fun acc (_, _, events) ->
-        List.fold_left (fun acc e -> min acc e.ts_ns) acc events)
+        List.fold_left (fun acc e -> Int.min acc e.ts_ns) acc events)
       max_int merged
   in
   let events =

@@ -394,7 +394,7 @@ let grow t n =
 let shrink t n =
   if n <= 0 then 0
   else begin
-    let target = min n (max 0 (Atomic.get t.live - 1)) in
+    let target = Int.min n (Int.max 0 (Atomic.get t.live - 1)) in
     if target > 0 then begin
       ignore (Atomic.fetch_and_add t.shrink_tokens target);
       (* Nudge tasks wake workers blocked in remove so they reach the

@@ -18,8 +18,10 @@ let check_fixture_exists () =
     "fixture corpus present" true
     (Sys.file_exists (fixture "bad_raw_mutex.ml"))
 
-(* Fixtures live outside the R4 directories, so force the rule on. *)
-let lint name = Lint_driver.lint_file ~ban_random:true (fixture name)
+(* Fixtures live outside the R4 and R7 directories, so force those rules
+   on. *)
+let lint name =
+  Lint_driver.lint_file ~ban_random:true ~ban_poly_compare:true (fixture name)
 
 let test_r1_fires () =
   let fs = lint "bad_raw_mutex.ml" in
@@ -108,6 +110,26 @@ let test_r6_sanctioned_modules () =
   Alcotest.(check int) "sanctioned in the scheduler" 0
     (flagged "lib/analysis/sched.ml");
   Alcotest.(check int) "flagged elsewhere" 1 (flagged "lib/mcpool/mc_pool.ml")
+
+let test_r7_fires () =
+  let fs = lint "bad_poly_compare.ml" in
+  Alcotest.(check int)
+    "max + min + qualified max + compare as a value" 4
+    (count_rule Lint_rules.poly_compare fs);
+  Alcotest.(check (list string)) "only R7" [ Lint_rules.poly_compare ] (rules_of fs)
+
+let test_r7_quiet () =
+  Alcotest.(check (list string)) "clean" [] (rules_of (lint "good_poly_compare.ml"))
+
+let test_r7_scope () =
+  (* On by default in the multicore pool and the task scheduler only. *)
+  let src = "let f (a : int) b = max a b\n" in
+  let flagged file =
+    count_rule Lint_rules.poly_compare (Lint_driver.lint_source ~file src)
+  in
+  Alcotest.(check int) "flagged in lib/mcpool" 1 (flagged "lib/mcpool/mc_pool.ml");
+  Alcotest.(check int) "flagged in lib/tasks" 1 (flagged "lib/tasks/mc_task.ml");
+  Alcotest.(check int) "off in the simulator's pool" 0 (flagged "lib/pool/pool.ml")
 
 let test_parse_error_reported () =
   let fs = Lint_driver.lint_source ~file:"broken.ml" "let let let" in
@@ -358,6 +380,95 @@ let test_race_atomic_publish () =
   in
   Alcotest.(check bool) "explored race-free" true (Sched.explore instance > 1)
 
+(* The ring's slot array: every index is its own plain cell. *)
+
+let test_slots_write_write () =
+  let module S = Sched.Prim.Slots in
+  let instance () =
+    let a = S.make 4 0 in
+    let w v () = S.set a 2 v in
+    {
+      Sched.threads = [ w 1; w 2 ];
+      check_step = (fun () -> ());
+      check_final = (fun () -> ());
+    }
+  in
+  match Sched.explore instance with
+  | _ -> Alcotest.fail "unsynchronized slot writes escaped the race detector"
+  | exception Race.Race _ -> ()
+
+let test_slots_read_write () =
+  let module S = Sched.Prim.Slots in
+  let instance () =
+    let a = S.make 4 0 in
+    {
+      Sched.threads = [ (fun () -> S.set a 1 7); (fun () -> ignore (S.get a 1)) ];
+      check_step = (fun () -> ());
+      check_final = (fun () -> ());
+    }
+  in
+  match Sched.explore instance with
+  | _ -> Alcotest.fail "unsynchronized slot read/write escaped the race detector"
+  | exception Race.Race _ -> ()
+
+(* Distinct indices are distinct cells: two fibers write and read their
+   own slot with nothing ordering the accesses, and no race is reported.
+   The trailing atomic only gives the explorer a conflict to branch on. *)
+let test_slots_distinct_indices () =
+  let module S = Sched.Prim.Slots in
+  let module A = Sched.Prim.Atomic in
+  let instance () =
+    let a = S.make 4 0 in
+    let tick = A.make 0 in
+    let w i () =
+      S.set a i i;
+      ignore (S.get a i);
+      ignore (A.fetch_and_add tick 1)
+    in
+    {
+      Sched.threads = [ w 0; w 3 ];
+      check_step = (fun () -> ());
+      check_final = (fun () -> ());
+    }
+  in
+  Alcotest.(check bool) "explored race-free" true (Sched.explore instance > 1)
+
+let test_slots_racy_get_exempt () =
+  let module S = Sched.Prim.Slots in
+  let instance () =
+    let a = S.make 4 0 in
+    {
+      Sched.threads =
+        [ (fun () -> S.set a 0 1); (fun () -> ignore (S.racy_get a 0)) ];
+      check_step = (fun () -> ());
+      check_final = (fun () -> ());
+    }
+  in
+  Alcotest.(check bool) "explored without a report" true
+    (Sched.explore instance >= 1)
+
+(* The ring's own publication: the owner stores a slot, then publishes it
+   with fetch_and_add on the cursor; a consumer that reads the cursor past
+   the slot then reads the slot — ordered, so clean in every schedule. *)
+let test_slots_atomic_publish () =
+  let module S = Sched.Prim.Slots in
+  let module A = Sched.Prim.Atomic in
+  let instance () =
+    let a = S.make 4 0 in
+    let bottom = A.make 0 in
+    let owner () =
+      S.set a 0 42;
+      ignore (A.fetch_and_add bottom 1)
+    in
+    let consumer () = if A.get bottom > 0 then ignore (S.get a 0) in
+    {
+      Sched.threads = [ owner; consumer ];
+      check_step = (fun () -> ());
+      check_final = (fun () -> ());
+    }
+  in
+  Alcotest.(check bool) "explored race-free" true (Sched.explore instance > 1)
+
 (* ---- linearizability oracle ------------------------------------------ *)
 
 (* A broken steal that reads the cursor and advances it non-atomically
@@ -443,6 +554,9 @@ let suites =
         Alcotest.test_case "R6 fires" `Quick test_r6_fires;
         Alcotest.test_case "R6 quiet + suppression" `Quick test_r6_quiet;
         Alcotest.test_case "R6 sanctioned modules" `Quick test_r6_sanctioned_modules;
+        Alcotest.test_case "R7 fires" `Quick test_r7_fires;
+        Alcotest.test_case "R7 quiet + suppression" `Quick test_r7_quiet;
+        Alcotest.test_case "R7 scoped to mcpool and tasks" `Quick test_r7_scope;
         Alcotest.test_case "suppression needs reason" `Quick test_suppression_needs_reason;
         Alcotest.test_case "suppression unknown rule" `Quick test_suppression_unknown_rule;
         Alcotest.test_case "parse errors reported" `Quick test_parse_error_reported;
@@ -473,6 +587,16 @@ let suites =
         Alcotest.test_case "mutex-ordered accesses clean" `Quick
           test_race_mutex_protected;
         Alcotest.test_case "atomic publish clean" `Quick test_race_atomic_publish;
+        Alcotest.test_case "slots: write/write detected" `Quick
+          test_slots_write_write;
+        Alcotest.test_case "slots: read/write detected" `Quick
+          test_slots_read_write;
+        Alcotest.test_case "slots: distinct indices clean" `Quick
+          test_slots_distinct_indices;
+        Alcotest.test_case "slots: racy_get exempt" `Quick
+          test_slots_racy_get_exempt;
+        Alcotest.test_case "slots: fetch_and_add publish clean" `Quick
+          test_slots_atomic_publish;
       ] );
     ( "linz",
       [

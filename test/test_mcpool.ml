@@ -706,6 +706,143 @@ let test_segment_ring_wrap_churn () =
   Alcotest.(check int) "no duplicates" !next (Hashtbl.length seen);
   Alcotest.(check bool) "consistent" true (Mc_segment.invariant_ok s)
 
+(* The owner's hot path allocates nothing once the ring is large enough:
+   an add stores straight into the flat ring, and a pop's only allocation
+   is the [Some] it returns (2 words). [Gc.minor_words] deltas over a
+   warmed-up ring, with a small constant allowance for the measurement's
+   own boxed floats. *)
+let alloc_ops = 10_000
+
+let alloc_slack = 64.0
+
+let test_owner_path_allocation_budget () =
+  let s : int Mc_segment.t = Mc_segment.make ~id:0 () in
+  (* Grow the ring to hold every measured add, then empty it. *)
+  for i = 1 to alloc_ops do
+    Mc_segment.add s i
+  done;
+  while Mc_segment.try_remove s <> None do
+    ()
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to alloc_ops do
+    Mc_segment.add s i
+  done;
+  let adds = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d segment adds allocate nothing (saw %.0f words)" alloc_ops adds)
+    true (adds <= alloc_slack);
+  let pair_budget = (2.0 *. float_of_int alloc_ops) +. alloc_slack in
+  let w0 = Gc.minor_words () in
+  for i = 1 to alloc_ops do
+    Mc_segment.add s i;
+    ignore (Mc_segment.try_remove s : int option)
+  done;
+  let pairs = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "segment add+pop pairs: only the Some (saw %.0f words)" pairs)
+    true (pairs <= pair_budget);
+  let pool : int Mc_pool.t = Mc_pool.of_config Mc_pool.Config.default in
+  let h = Mc_pool.register pool in
+  for i = 1 to alloc_ops do
+    Mc_pool.add pool h i
+  done;
+  while Mc_pool.try_remove_local pool h <> None do
+    ()
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to alloc_ops do
+    Mc_pool.add pool h i;
+    ignore (Mc_pool.try_remove_local pool h : int option)
+  done;
+  let pairs = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "pool add+local pairs: only the Some (saw %.0f words)" pairs)
+    true (pairs <= pair_budget)
+
+(* The flat ring holds removed elements until the owner scrubs their slots.
+   Weak pointers check that what was taken — by owner pops, by steal_half,
+   and on both sides of a ring growth — becomes collectable by the owner's
+   next push or idle [try_remove], while live elements stay reachable. *)
+let test_segment_ring_releases_removed () =
+  let s : int ref Mc_segment.t = Mc_segment.make ~id:0 () in
+  let w = Weak.create 17 in
+  (* No local binding to an element survives its [add]. *)
+  let put i =
+    let r = ref i in
+    Weak.set w i (Some r);
+    Mc_segment.add s r
+  in
+  let pop () = ignore (Mc_segment.try_remove s : int ref option) in
+  let steal () = ignore (Mc_segment.steal_half s : int ref Cpool.Steal.loot) in
+  let collected i = Weak.get w i = None in
+  let check_range what lo hi want =
+    for i = lo to hi do
+      Alcotest.(check bool) (Printf.sprintf "%s %d" what i) want (collected i)
+    done
+  in
+  (* Initial 8-slot ring: pop 0 and 1, steal ceil(4/2) = 2 and 3. *)
+  for i = 0 to 5 do
+    put i
+  done;
+  pop ();
+  pop ();
+  steal ();
+  (* Ten more adds grow the ring: 4 and 5 are copied into the new one. *)
+  for i = 6 to 15 do
+    put i
+  done;
+  (* Pop 4 and 5 from the grown ring, steal ceil(10/2) = 6..10; the next
+     push scrubs their slots. *)
+  pop ();
+  pop ();
+  steal ();
+  put 16;
+  Gc.full_major ();
+  check_range "removed element collected" 0 10 true;
+  check_range "live element kept" 11 16 false;
+  (* Drain. Pops do not scrub: the drained slots keep their elements until
+     the idle call. *)
+  for _ = 11 to 16 do
+    pop ()
+  done;
+  Alcotest.(check bool) "idle try_remove" true (Mc_segment.try_remove s = None);
+  Gc.full_major ();
+  check_range "drained element collected" 11 16 true;
+  Alcotest.(check bool) "consistent" true (Mc_segment.invariant_ok s)
+
+(* Slots are [Obj.t], made from an immediate filler: a float element is
+   stored as its box, never in a flat float array (where the immediate
+   filler would be dereferenced as a double). Floats must survive every
+   path in and out of the ring. *)
+let test_segment_float_elements () =
+  let s : float Mc_segment.t = Mc_segment.make ~id:0 () in
+  let v i = float_of_int i +. 0.25 in
+  let floats = Alcotest.(list (float 0.0)) in
+  Mc_segment.add s (v 0);
+  Alcotest.(check (option (float 0.0))) "add then pop" (Some (v 0)) (Mc_segment.try_remove s);
+  (* 40 adds grow the initial 8-slot ring three times. *)
+  for i = 1 to 40 do
+    Mc_segment.add s (v i)
+  done;
+  let loot =
+    match Mc_segment.steal_half s with
+    | Cpool.Steal.Nothing -> []
+    | Cpool.Steal.Single x -> [ x ]
+    | Cpool.Steal.Batch (x, rest) -> x :: rest
+  in
+  Alcotest.check floats "steal_half: the oldest half" (List.init 20 (fun i -> v (i + 1))) loot;
+  for i = 41 to 45 do
+    Alcotest.(check bool) "spill_add" true (Mc_segment.spill_add s (v i))
+  done;
+  (* The owner pops the ring dry, then drains the inbox into it. *)
+  let rec drain acc =
+    match Mc_segment.try_remove s with Some x -> drain (x :: acc) | None -> List.rev acc
+  in
+  Alcotest.check floats "ring then inbox, in order" (List.init 25 (fun i -> v (i + 21)))
+    (drain []);
+  Alcotest.(check bool) "consistent" true (Mc_segment.invariant_ok s)
+
 let test_segment_fast_path_stats () =
   let s : int Mc_segment.t = Mc_segment.make ~id:0 () in
   for i = 1 to 8 do
@@ -903,6 +1040,11 @@ let suites =
       [
         Alcotest.test_case "spill_add capacity and retrieval" `Quick test_segment_spill_add;
         Alcotest.test_case "ring wrap churn conserves" `Quick test_segment_ring_wrap_churn;
+        Alcotest.test_case "owner path allocation budget" `Quick
+          test_owner_path_allocation_budget;
+        Alcotest.test_case "removed elements collectable" `Quick
+          test_segment_ring_releases_removed;
+        Alcotest.test_case "float elements round-trip" `Quick test_segment_float_elements;
         Alcotest.test_case "fast-path counters" `Quick test_segment_fast_path_stats;
         Alcotest.test_case "all-mutex baseline mode" `Quick test_segment_baseline_mode;
         Alcotest.test_case "batched-steal stats" `Quick test_segment_steal_batch_stats;
