@@ -323,7 +323,7 @@ let mc_stress_cmd =
       const run $ domains $ seconds $ stress_kind $ mode $ capacity $ workload
       $ no_churn $ stress_seed $ stress_trace)
 
-(* --- mc-throughput: lock-free fast path vs all-mutex baseline --------- *)
+(* --- mc-throughput: fixed-duration throughput grid -------------------- *)
 
 (* A topology spec is resolved per --domains count, because the preset form
    scales with the pool while a file pins an exact node count. *)
@@ -416,11 +416,6 @@ let mc_throughput_cmd =
     let doc = "Per-segment capacity (omit for unbounded segments)." in
     Arg.(value & opt (some int) None & info [ "capacity" ] ~docv:"N" ~doc)
   in
-  let no_baseline =
-    Arg.(
-      value & flag
-      & info [ "no-baseline" ] ~doc:"Skip the all-mutex ($(b,fast_path:false)) twin cells.")
-  in
   let out =
     let doc = "Write the JSON report to $(docv) (omit to skip the file)." in
     Arg.(
@@ -449,7 +444,7 @@ let mc_throughput_cmd =
     in
     Arg.(value & opt (some string) None & info [ "topology"; "t" ] ~docv:"SPEC" ~doc)
   in
-  let run domains seconds kind workloads capacity no_baseline out seed trace_out topo_arg =
+  let run domains seconds kind workloads capacity out seed trace_out topo_arg =
     (* Resolve the spec against every requested domain count up front, so a
        mismatched file or an unscalable preset is a usage error before any
        cell runs. *)
@@ -499,7 +494,6 @@ let mc_throughput_cmd =
           Cpool_mc.Mc_bench.kinds;
           domain_counts = domains;
           workloads;
-          baseline = not no_baseline;
           capacity;
           seed;
           trace = trace_out <> None;
@@ -532,28 +526,27 @@ let mc_throughput_cmd =
       0
     end
   in
-  let doc = "Measure mc-pool throughput: lock-free fast path vs all-mutex baseline" in
+  let doc = "Measure mc-pool throughput over a kind x domains x workload grid" in
   let man =
     [
       `S Manpage.s_description;
       `P
         "Runs fixed-duration randomized workloads over a grid of search kind × \
-         domain count × operation mix (the paper's sufficient and sparse regimes), \
-         each cell twice — with the segments' lock-free owner path and with the \
-         all-mutex baseline — and reports ops/sec, sampled p50/p99 per-op latency, \
-         fast-path vs locked-path hit counts and the batched-steal profile. With \
-         $(b,--topology) the grid gains topology cells: each selected kind runs on \
-         the emulated machine with near-first (topology-aware) policies and, unless \
-         $(b,--no-baseline), with distance-oblivious ones — same latencies, blind \
-         probe order — reporting the near/far steal split. The JSON report \
-         (default $(b,BENCH_mcpool.json)) is the committed artifact.";
+         domain count × operation mix (the paper's sufficient and sparse regimes) \
+         and reports ops/sec, sampled p50/p99 per-op latency, the owner ring-op \
+         count and the batched-steal profile. With $(b,--topology) the grid gains \
+         topology cells: each selected kind runs on the emulated machine with \
+         near-first (topology-aware) policies and with distance-oblivious ones — \
+         same latencies, blind probe order — reporting the near/far steal split. \
+         The JSON report (default $(b,BENCH_mcpool.json)) is the committed \
+         artifact.";
     ]
   in
   Cmd.v
     (Cmd.info "mc-throughput" ~doc ~man)
     Term.(
-      const run $ domains $ seconds $ bench_kind $ workloads $ capacity $ no_baseline $ out
-      $ bench_seed $ trace_out $ topology)
+      const run $ domains $ seconds $ bench_kind $ workloads $ capacity $ out $ bench_seed
+      $ trace_out $ topology)
 
 (* --- mc-trace: trace a real run and replay the paper's strip charts --- *)
 

@@ -48,7 +48,7 @@ echo "== mc-stress smoke (hinted hand-off under a sparse mix) =="
 dune exec bin/pools_bench.exe -- mc-stress --domains 4 --seconds 0.3 \
   -k hinted --workload mix=0.35,initial=8
 
-echo "== mc-throughput smoke (fast path vs all-mutex baseline) =="
+echo "== mc-throughput smoke (linear, sufficient + sparse) =="
 dune exec bin/pools_bench.exe -- mc-throughput --domains 2 --seconds 0.2 \
   --out BENCH_mcpool_smoke.json
 

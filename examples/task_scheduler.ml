@@ -47,8 +47,6 @@ let run_workload ~kind ~domains =
   Mc_task.shutdown t;
   (elapsed, total, Mc_task.processed t, Mc_task.steals t)
 
-let kind_name = Cpool_mc.Mc_pool.kind_to_string
-
 let () =
   let domains = min 8 (max 2 (Domain.recommended_domain_count ())) in
   let failures = ref 0 in
@@ -65,11 +63,11 @@ let () =
         Printf.eprintf
           "task_scheduler: %s: 1-domain run did %d tasks (checksum %d), %d-domain \
            run did %d (checksum %d)\n"
-          (kind_name kind) tasks1 total1 domains tasksn totaln;
+          (Cpool_intf.to_string kind) tasks1 total1 domains tasksn totaln;
         incr failures
       end;
-      Printf.printf "%-8s %12.3f %12.3f %8.2f %8d %8d\n" (kind_name kind) t1 tn
-        (t1 /. tn) tasksn steals)
+      Printf.printf "%-8s %12.3f %12.3f %8.2f %8d %8d\n" (Cpool_intf.to_string kind) t1
+        tn (t1 /. tn) tasksn steals)
     [ Cpool_mc.Mc_pool.Linear; Cpool_mc.Mc_pool.Random; Cpool_mc.Mc_pool.Tree ];
   print_endline "(speedups depend on available cores; steals show the load balancing)";
   if !failures > 0 then exit 1

@@ -181,18 +181,15 @@ let reserve_refill_race () =
 
 (* Three threads on one segment: the owner popping, a foreign spill_add,
    and a stealer that may hit either the ring or steal_half's
-   inbox-fallback branch. Baseline mode ([fast_path:false], the
-   configuration the throughput benchmark compares against) keeps every
-   operation mutex-serialized, which both certifies the all-mutex twin and
-   keeps the 3-thread schedule space small even exhaustively. One element
-   is preloaded into the ring and one into the inbox, so the stealer's
-   ring-claim and inbox-pop branches, the owner's direct claim and its
-   exchange-drain are all reachable depending on the schedule. *)
+   inbox-fallback branch — the shipped lock-free owner pop racing both.
+   One element is preloaded into the ring and one into the inbox, so the
+   stealer's ring-claim and inbox-pop branches, the owner's direct claim
+   and its exchange-drain are all reachable depending on the schedule. *)
 let three_way () =
   let name = "owner pop vs spill vs inbox steal (3 threads)" in
   let h = Linz.create () in
   Linz.declare_seg h ~id:0 ~capacity:None;
-  let seg = M.make ~fast_path:false ~id:0 () in
+  let seg = M.make ~id:0 () in
   assert (l_try_add h (-1) 0 seg 1);
   assert (l_spill h (-1) 0 seg 2);
   let popped = ref 0 in

@@ -21,10 +21,11 @@
     overfilling a bounded segment) and the lock-free ring protocol's
     characteristic races (owner pop vs steal claim; owner push vs bounded
     reservation), checked exhaustively-up-to-commutation rather than
-    stochastically. The last scenarios (three stealers on one ring; the
-    three-way hint life cycle; dual spillers against the inbox drain) are
-    enumerable {e only} with the reduction — their exhaustive schedule
-    spaces exceed the explorer's bound. *)
+    stochastically. Four scenarios (the owner's pop against a spill and
+    an inbox steal; three stealers on one ring; the three-way hint life
+    cycle; dual spillers against the inbox drain) are enumerable {e only}
+    with the reduction — their exhaustive schedule spaces exceed the
+    explorer's bound. *)
 
 type scenario = { name : string; instance : unit -> Sched.instance }
 

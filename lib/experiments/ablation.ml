@@ -53,7 +53,7 @@ let render r =
       (fun row ->
         let line name c =
           [
-            Cpool.Pool.kind_to_string row.kind;
+            Cpool_intf.to_string row.kind;
             name;
             Render.float_cell c.op_time;
             Render.float_cell c.steal_time;

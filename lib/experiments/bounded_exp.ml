@@ -72,7 +72,7 @@ let render r =
     [
       Printf.sprintf
         "Extension (paper footnote) -- bounded segments with symmetric spill (%s, 70%% adds)"
-        (Cpool.Pool.kind_to_string r.kind);
+        (Cpool_intf.to_string r.kind);
       Render.table ~headers ~rows ();
       "Tight bounds turn local adds into remote spills and finally rejects as the";
       "whole pool saturates; add times rise with the spill distance.";

@@ -92,7 +92,7 @@ let render_block ~title rows =
 let render r =
   let chart rows title =
     let series kind =
-      ( Cpool.Pool.kind_to_string kind,
+      ( Cpool_intf.to_string kind,
         List.filter_map
           (fun row ->
             let c = kind_cell row kind in

@@ -85,7 +85,7 @@ let render r =
     [
       Printf.sprintf
         "Figure 2 -- average operation time vs job mix (%s traversal algorithm)"
-        (Cpool.Pool.kind_to_string r.kind);
+        (Cpool_intf.to_string r.kind);
       table r.random_series "Random operations model";
       table r.producer_consumer_series "Producer/consumer model (contiguous producers)";
       Render.chart ~title:"Average operation time (ms) vs percent adds"

@@ -51,7 +51,7 @@ let render r =
     [
       Printf.sprintf
         "Figure 7 -- average elements stolen per steal vs producers (%s algorithm)"
-        (Cpool.Pool.kind_to_string r.kind);
+        (Cpool_intf.to_string r.kind);
       Render.table
         ~headers:[ "producers"; "unbalanced (contiguous)"; "balanced" ]
         ~rows ();

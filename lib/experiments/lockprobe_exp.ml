@@ -59,7 +59,7 @@ let render r =
   String.concat "\n"
     [
       Printf.sprintf "Ablation -- locking vs atomic probes (%s algorithm)"
-        (Cpool.Pool.kind_to_string r.kind);
+        (Cpool_intf.to_string r.kind);
       Render.table ~headers ~rows ();
       "Locking probes make searchers queue against the producers' own operations,";
       "inflating sparse-mix times toward the paper's measured magnitudes; the";

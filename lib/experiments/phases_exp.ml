@@ -82,7 +82,7 @@ let render r =
   String.concat "\n"
     [
       Printf.sprintf "Extension (Sec 3.5) -- time-varying workloads (%s algorithm)"
-        (Cpool.Pool.kind_to_string r.kind);
+        (Cpool_intf.to_string r.kind);
       render_block "Application lifecycle: fill, stable, drain (one continuous run)" r.lifecycle;
       render_block "Dynamic roles: the producer block rotates each phase" r.rotation;
       "Each phase behaves like the paper's standalone experiment at its mix: the";

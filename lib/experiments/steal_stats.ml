@@ -98,7 +98,7 @@ let render r =
   String.concat "\n"
     [
       Printf.sprintf "Section 4.2 -- balancing the producers (%s algorithm)"
-        (Cpool.Pool.kind_to_string r.kind);
+        (Cpool_intf.to_string r.kind);
       Render.table ~headers ~rows ();
       Printf.sprintf
         "balanced arrangement lowered mean remove time (>1%%) at %d of %d producer counts" wins

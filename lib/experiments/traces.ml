@@ -73,7 +73,7 @@ let render ~figure r =
     [
       Printf.sprintf
         "%s -- segment sizes over time: %s algorithm, %d producers (%s arrangement)" figure
-        (Cpool.Pool.kind_to_string r.kind)
+        (Cpool_intf.to_string r.kind)
         (List.length r.producers)
         (if r.balanced then "balanced" else "contiguous/unbalanced");
       Render.strip_chart ~labels grid;

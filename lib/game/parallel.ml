@@ -3,7 +3,7 @@ open Cpool_sim
 type scheduler = Pool_scheduler of Cpool.Pool.kind | Stack_scheduler
 
 let scheduler_to_string = function
-  | Pool_scheduler kind -> "pool/" ^ Cpool.Pool.kind_to_string kind
+  | Pool_scheduler kind -> "pool/" ^ Cpool_intf.to_string kind
   | Stack_scheduler -> "stack"
 
 type config = {

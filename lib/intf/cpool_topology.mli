@@ -1,7 +1,7 @@
 (** Shared locality model for the pools: socket/core groups or an explicit
     symmetric distance matrix, consumed by both the simulator cost model
     ({!Cpool_sim.Topology}) and the real multicore pool
-    ([Mc_pool.create ~topology]).
+    ([Mc_pool.Config.topology]).
 
     A distance is a multiplier on the cost of one local access: the
     diagonal is exactly [1.0] and off-diagonal entries are [>= 1.0] (the

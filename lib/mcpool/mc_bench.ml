@@ -4,7 +4,6 @@ type config = {
   kinds : Mc_pool.kind list;
   domain_counts : int list;
   workloads : Workload.t list;
-  baseline : bool;
   capacity : int option;
   seed : int;
   trace : bool;
@@ -20,7 +19,6 @@ let default =
     kinds = [ Mc_pool.Linear ];
     domain_counts = [ 2; 8 ];
     workloads = [ Workload.sufficient; Workload.sparse ];
-    baseline = true;
     capacity = None;
     seed = 42;
     trace = false;
@@ -31,7 +29,6 @@ type cell = {
   kind : Mc_pool.kind;
   domains : int;
   workload : Workload.t;
-  fast_path : bool;
   topo : Cpool_topology.t option;
   aware : bool; (* meaningful only with [topo]: false = oblivious twin *)
 }
@@ -47,8 +44,6 @@ type result = {
   p50_us : float;
   p99_us : float;
   fast_ops : int;
-  locked_ops : int;
-  fast_fraction : float;
   steals : int;
   batched_steals : int;
   mean_batch : float;
@@ -136,8 +131,8 @@ let worker pool cell ~seed tally i barrier deadline_ns =
   done;
   Mc_pool.deregister pool h
 
-(* Returns the number of add attempts it made: prefill pushes note paths on
-   the segment stats like any other op, so the attempt count must join the
+(* Returns the number of add attempts it made: prefill pushes count on the
+   segment stats like any other op, so the attempt count must join the
    workers' in the [ops_attempted] accounting. *)
 let prefill pool ~capacity ~per_domain domains =
   let quota = match capacity with None -> per_domain | Some c -> Int.min per_domain c in
@@ -165,7 +160,6 @@ let run_cell ?seconds ?(capacity = None) ?(seed = 42) ?(trace = false) cell =
         segments = cell.domains;
         kind = cell.kind;
         capacity;
-        fast_path = cell.fast_path;
         trace;
         topology = cell.topo;
         topology_aware = cell.aware;
@@ -210,8 +204,6 @@ let run_cell ?seconds ?(capacity = None) ?(seed = 42) ?(trace = false) cell =
     p50_us = Cpool_metrics.Sample.median lat;
     p99_us = Cpool_metrics.Sample.percentile lat 99.0;
     fast_ops = Mc_stats.fast_path_ops seg;
-    locked_ops = Mc_stats.locked_path_ops seg;
-    fast_fraction = Mc_stats.fast_path_fraction seg;
     steals = Mc_pool.steals pool;
     (* Batch telemetry lives on the thief's handle now, so it comes from
        the merged handle stats, not the (victim) segment stats. *)
@@ -232,20 +224,16 @@ let run_cell ?seconds ?(capacity = None) ?(seed = 42) ?(trace = false) cell =
   }
 
 let run config =
-  let protocols = if config.baseline then [ true; false ] else [ true ] in
   let grid =
     List.concat_map
       (fun kind ->
         List.concat_map
           (fun domains ->
-            List.concat_map
+            List.map
               (fun workload ->
-                List.map
-                  (fun fast_path ->
-                    run_cell ~capacity:config.capacity ~seed:config.seed
-                      ~trace:config.trace
-                      { kind; domains; workload; fast_path; topo = None; aware = true })
-                  protocols)
+                run_cell ~capacity:config.capacity ~seed:config.seed
+                  ~trace:config.trace
+                  { kind; domains; workload; topo = None; aware = true })
               config.workloads)
           config.domain_counts)
       config.kinds
@@ -253,12 +241,11 @@ let run config =
   match config.topo_of with
   | None -> grid
   | Some topo_of ->
-    (* Topology cells: always on the lock-free path; the twin dimension is
-       aware vs distance-oblivious instead of fast vs mutex, so the
-       comparison isolates the probe-ordering policy on the same emulated
-       machine. The CLI pre-validates the spec, so a resolution failure
-       here is a driver bug, not user error. *)
-    let policies = if config.baseline then [ true; false ] else [ true ] in
+    (* Topology cells: each runs twice, topology-aware and as the
+       distance-oblivious twin, so the comparison isolates the
+       probe-ordering policy on the same emulated machine. The CLI
+       pre-validates the spec, so a resolution failure here is a driver
+       bug, not user error. *)
     grid
     @ List.concat_map
         (fun kind ->
@@ -275,17 +262,15 @@ let run config =
                     (fun aware ->
                       run_cell ~capacity:config.capacity ~seed:config.seed
                         ~trace:config.trace
-                        { kind; domains; workload; fast_path = true;
-                          topo = Some topo; aware })
-                    policies)
+                        { kind; domains; workload; topo = Some topo; aware })
+                    [ true; false ])
                 config.workloads)
             config.domain_counts)
         config.kinds
 
 let cell_label c =
-  Printf.sprintf "%s/%dd/%s/%s%s" (Mc_stress.kind_name c.kind) c.domains
+  Printf.sprintf "%s/%dd/%s%s" (Mc_stress.kind_name c.kind) c.domains
     (Workload.mix_label c.workload)
-    (if c.fast_path then "fast" else "mutex")
     (match c.topo with
     | None -> ""
     | Some _ -> if c.aware then "/topo" else "/topo-blind")
@@ -302,7 +287,6 @@ let render results =
       Printf.sprintf "%.0f" r.ops_per_sec;
       Cpool_metrics.Render.float_cell r.p50_us;
       Cpool_metrics.Render.float_cell r.p99_us;
-      Cpool_metrics.Render.float_cell (100.0 *. r.fast_fraction);
       string_of_int r.steals;
       string_of_int r.batched_steals;
       Cpool_metrics.Render.float_cell r.mean_batch;
@@ -313,33 +297,10 @@ let render results =
     (Cpool_metrics.Render.table ~title:"mc-throughput"
        ~headers:
          [
-           "cell"; "ops/s"; "p50 µs"; "p99 µs"; "fast %"; "steals"; "batched";
-           "elems/batch"; "deliv";
+           "cell"; "ops/s"; "p50 µs"; "p99 µs"; "steals"; "batched"; "elems/batch";
+           "deliv";
          ]
        ~rows:(List.map row results) ());
-  (* Speedups: pair each fast cell with its all-mutex twin. *)
-  let twins =
-    List.filter_map
-      (fun r ->
-        if not r.cell.fast_path then None
-        else
-          List.find_opt
-            (fun b -> (not b.cell.fast_path) && b.cell = { r.cell with fast_path = false })
-            results
-          |> Option.map (fun b -> (r, b)))
-      results
-  in
-  if twins <> [] then begin
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun (f, b) ->
-        Buffer.add_string buf
-          (Printf.sprintf "speedup %s: %.2fx over the all-mutex baseline (%.0f vs %.0f ops/s)\n"
-             (cell_label { f.cell with fast_path = true })
-             (f.ops_per_sec /. Float.max 1e-9 b.ops_per_sec)
-             f.ops_per_sec b.ops_per_sec))
-      twins
-  end;
   (* The hinted hand-off's headline: Hinted vs Linear on otherwise
      identical cells (the paper's §5 comparison, sparse mix being the
      regime it targets). *)
@@ -357,9 +318,8 @@ let render results =
     List.iter
       (fun (h, l) ->
         Buffer.add_string buf
-          (Printf.sprintf "hinted vs linear %dd/%s/%s: %.2fx (%.0f vs %.0f ops/s)\n"
+          (Printf.sprintf "hinted vs linear %dd/%s: %.2fx (%.0f vs %.0f ops/s)\n"
              h.cell.domains (Workload.mix_label h.cell.workload)
-             (if h.cell.fast_path then "fast" else "mutex")
              (h.ops_per_sec /. Float.max 1e-9 l.ops_per_sec)
              h.ops_per_sec l.ops_per_sec))
       hinted_vs_linear
@@ -435,7 +395,6 @@ let json_of_result r =
       ("domains", Cpool_util.Json.Int r.cell.domains);
       ("mix", Cpool_util.Json.Str (Workload.mix_label r.cell.workload));
       ("workload", Cpool_util.Json.Str (Workload.to_string r.cell.workload));
-      ("fast_path", Cpool_util.Json.Bool r.cell.fast_path);
       ("duration_s", Cpool_util.Json.Float r.duration);
       ("ops", Cpool_util.Json.Int r.ops);
       ("ops_attempted", Cpool_util.Json.Int r.ops_attempted);
@@ -445,8 +404,6 @@ let json_of_result r =
       ("p50_us", Cpool_util.Json.Float r.p50_us);
       ("p99_us", Cpool_util.Json.Float r.p99_us);
       ("fast_ops", Cpool_util.Json.Int r.fast_ops);
-      ("locked_ops", Cpool_util.Json.Int r.locked_ops);
-      ("fast_fraction", Cpool_util.Json.Float r.fast_fraction);
       ("steals", Cpool_util.Json.Int r.steals);
       ("batched_steals", Cpool_util.Json.Int r.batched_steals);
       ("mean_batch", Cpool_util.Json.Float r.mean_batch);
@@ -511,35 +468,26 @@ let validate_json doc =
             (Ok ())
             [
               "domains"; "ops"; "ops_attempted"; "ops_per_sec"; "fast_ops";
-              "locked_ops"; "steals"; "hints_published"; "hints_claimed";
-              "hints_delivered"; "hints_expired";
+              "steals"; "hints_published"; "hints_claimed"; "hints_delivered";
+              "hints_expired";
             ]
         in
-        (* Counter-accounting identities: the path counters count a subset
-           of the attempted operations, so an artifact where they exceed
-           the attempts is self-contradictory (the seed shipped one such
-           cell: fast_ops > ops). *)
+        (* Counter-accounting identities: the ring-op counter counts a
+           subset of the attempted operations, so an artifact where it
+           exceeds the attempts is self-contradictory (the seed shipped one
+           such cell: fast_ops > ops). *)
         let get name =
           match J.member name c with Some v -> J.to_number v | None -> None
         in
         let* () =
-          match (get "fast_ops", get "locked_ops", get "ops", get "ops_attempted") with
-          | Some f, Some l, Some o, Some a ->
-            if f +. l > a then
-              Error
-                (Printf.sprintf
-                   "cell %d: fast_ops %.0f + locked_ops %.0f > ops_attempted %.0f" i f
-                   l a)
+          match (get "fast_ops", get "ops", get "ops_attempted") with
+          | Some f, Some o, Some a ->
+            if f > a then
+              Error (Printf.sprintf "cell %d: fast_ops %.0f > ops_attempted %.0f" i f a)
             else if o > a then
               Error (Printf.sprintf "cell %d: ops %.0f > ops_attempted %.0f" i o a)
             else Ok ()
           | _ -> Error (Printf.sprintf "cell %d: path counters are not numbers" i)
-        in
-        let* () =
-          match J.member "fast_path" c with
-          | Some (J.Bool _) -> Ok ()
-          | Some _ | None ->
-            Error (Printf.sprintf "cell %d: missing boolean \"fast_path\"" i)
         in
         (* Topology cells must carry the locality split, and it must tile
            the steal count exactly: every steal is near or far, nothing

@@ -1,25 +1,20 @@
-(** Fixed-duration throughput benchmark for {!Mc_pool}: the reproducible
-    baseline behind the lock-free owner fast path.
+(** Fixed-duration throughput benchmark for {!Mc_pool}.
 
-    Runs a grid of cells — search kind × domain count × operation mix ×
-    segment protocol — each a wall-clock-bounded randomized add/remove
-    workload with one worker domain per segment. The two mixes follow the
+    Runs a grid of cells — search kind × domain count × operation mix —
+    each a wall-clock-bounded randomized add/remove workload with one
+    worker domain per segment. The two mixes follow the
     paper's regimes: {e sufficient} (> 50% adds, prefilled, removes almost
     always hit the owner's own segment — non-blocking removes) and
     {e sparse} (< 50% adds, the pool runs dry and steal traffic dominates —
     {e blocking} removes, so what a searcher does about an empty pool,
     spin-searching vs parking on the [Hinted] hint board, is part of the
-    measurement). Each (kind, domains, mix)
-    cell runs twice when [baseline] is set: once with the segments'
-    lock-free owner path and once in the all-mutex configuration
-    ([fast_path:false]), so the speedup is measured within one binary on
-    identical workloads.
+    measurement).
 
     Reported per cell: throughput (ops/sec), sampled per-op latency (p50
     and p99, in µs — every 8th batch of 16 operations is timed as a group,
     so sub-µs operations still resolve and a slow steal or lock inside the
-    window surfaces in the tail), the segments' fast-path vs locked-path
-    hit counters, and the batched-steal profile. Results serialize to JSON
+    window surfaces in the tail), the segments' owner ring-op counter, and
+    the batched-steal profile. Results serialize to JSON
     ({!to_json}) for the committed [BENCH_mcpool.json] artifact. *)
 
 type config = {
@@ -31,7 +26,6 @@ type config = {
           wall-clock length of the cell's mixed-op phase.
           {!Cpool_intf.Workload.sufficient} and
           {!Cpool_intf.Workload.sparse} are the paper's two regimes. *)
-  baseline : bool;  (** Also run every cell with [fast_path:false]. *)
   capacity : int option;  (** Per-segment bound; [None] = unbounded. *)
   seed : int;
   trace : bool;
@@ -41,21 +35,20 @@ type config = {
       (** Resolve a domain count to the locality model for that column of
           the grid (the [two-group] preset scales with the count; a config
           file only matches its own). When set, the topology cells run
-          {e in addition to} the plain grid: every (kind, domains, mix) on
-          the lock-free path, once topology-aware and (when [baseline])
-          once as the distance-oblivious twin, all into one artifact. *)
+          {e in addition to} the plain grid: every (kind, domains, mix)
+          once topology-aware and once as the distance-oblivious twin, all
+          into one artifact. *)
 }
 
 val default : config
 (** Linear kind, 2 and 8 domains, both canonical workloads (sufficient
-    and sparse, 1 s cells), baseline on, unbounded, seed 42, tracing off,
-    no topology. *)
+    and sparse, 1 s cells), unbounded, seed 42, tracing off, no
+    topology. *)
 
 type cell = {
   kind : Mc_pool.kind;
   domains : int;
   workload : Cpool_intf.Workload.t;
-  fast_path : bool;
   topo : Cpool_topology.t option;
       (** Home segment [i] on topology node [i] and emulate remote
           latency; [None] for the plain grid cells. *)
@@ -70,18 +63,16 @@ type result = {
   ops : int;  (** Operation attempts across all workers (throughput numerator). *)
   ops_attempted : int;
       (** [ops] plus the prefill's add attempts — the full population of
-          operations that can note a fast or locked path, so
-          [fast_ops + locked_ops <= ops_attempted] always holds (the seed
-          artifact compared [fast_ops] against [ops] alone and shipped a
-          cell with [fast_ops > ops]). *)
+          operations that can note a ring op, so
+          [fast_ops <= ops_attempted] always holds (the seed artifact
+          compared [fast_ops] against [ops] alone and shipped a cell with
+          [fast_ops > ops]). *)
   ops_per_sec : float;
   adds_ok : int;
   removes_ok : int;
   p50_us : float;  (** Median sampled per-op latency, µs; [nan] if none. *)
   p99_us : float;  (** 99th-percentile sampled per-op latency, µs. *)
-  fast_ops : int;  (** Owner pushes + pops that skipped the mutex. *)
-  locked_ops : int;  (** Owner pushes + pops that took the mutex. *)
-  fast_fraction : float;  (** fast / (fast + locked); [nan] if neither. *)
+  fast_ops : int;  (** Owner ring pushes + pops ({!Mc_stats.fast_path_ops}). *)
   steals : int;
   batched_steals : int;  (** Steals that moved >= 2 elements in one claim. *)
   mean_batch : float;  (** Mean elements per steal batch; [nan] if no steals. *)
@@ -106,14 +97,12 @@ val run_cell :
     workload that is not closed-loop. *)
 
 val run : config -> result list
-(** Run the whole grid, fast-path cells and (when [config.baseline])
-    their all-mutex twins, in a deterministic order. *)
+(** Run the whole grid, then any topology cells, in a deterministic
+    order. *)
 
 val render : result list -> string
-(** Human-readable table of every cell plus, for each (kind, domains, mix)
-    pair present in both protocols, the fast-path speedup over the
-    baseline, and for each Hinted cell whose Linear twin is present, the
-    hinted-over-linear speedup. Topology cells additionally get a near/far
+(** Human-readable table of every cell plus, for each Hinted cell whose
+    Linear twin is present, the hinted-over-linear speedup. Topology cells additionally get a near/far
     telemetry table and, twin permitting, the aware-over-oblivious
     speedup. *)
 
@@ -131,9 +120,8 @@ val validate_json : Cpool_util.Json.t -> (int, string) Stdlib.result
 (** Structural check of a parsed benchmark document (the [json-check]
     subcommand): returns the number of cells, or a description of the
     first malformed field. Beyond field presence it enforces the
-    counter-accounting identities
-    [fast_ops + locked_ops <= ops_attempted] and [ops <= ops_attempted]
-    per cell, so a self-contradictory artifact fails the check. Cells
+    counter-accounting identities [fast_ops <= ops_attempted] and
+    [ops <= ops_attempted] per cell, so a self-contradictory artifact fails the check. Cells
     carrying a ["topology"] field must also carry a boolean
     ["topology_aware"], numeric near/far probe and steal counters, and
     satisfy [near_steals + far_steals = steals] exactly. *)

@@ -2,20 +2,14 @@
    pool, re-exported so [Mc_pool.Linear] etc. keep compiling. *)
 type kind = Cpool_intf.kind = Linear | Random | Tree | Hinted
 
-let kind_to_string = Cpool_intf.to_string
-
-let kind_of_string = Cpool_intf.of_string
-
-let all_kinds = Cpool_intf.all
-
 type tree = {
   leaves : int;
   rounds : int Atomic.t array; (* heap layout, as in the simulated pool *)
   node_locks : Mutex.t array; (* internal nodes; protect children's counters *)
 }
 
-(* Everything derived from the shared locality model at [create] time, so
-   the hot path only does array reads. Segment [i] is homed on topology
+(* Everything derived from the shared locality model by [of_config], so the
+   hot path only does array reads. Segment [i] is homed on topology
    node [i]; [aware = false] is the distance-oblivious twin, which pays the
    same emulated latencies but keeps the distance-blind probe orders — the
    bench baseline that isolates the ordering policy from the machine. *)
@@ -133,7 +127,6 @@ module Config = struct
     kind : kind;
     seed : int64;
     capacity : int option;
-    fast_path : bool;
     trace : bool;
     trace_capacity : int;
     topology : Cpool_topology.t option;
@@ -146,7 +139,6 @@ module Config = struct
       kind = Linear;
       seed = 42L;
       capacity = None;
-      fast_path = true;
       trace = false;
       trace_capacity = 8192;
       topology = None;
@@ -155,8 +147,8 @@ module Config = struct
 end
 
 let of_config (c : Config.t) =
-  let { Config.segments; kind; seed; capacity; fast_path; trace; trace_capacity;
-        topology; topology_aware } = c in
+  let { Config.segments; kind; seed; capacity; trace; trace_capacity; topology;
+        topology_aware } = c in
   if segments <= 0 then
     invalid_arg "Mc_pool.of_config: segments must be positive";
   (match capacity with
@@ -188,7 +180,7 @@ let of_config (c : Config.t) =
   {
     pool_kind = kind;
     bound = capacity;
-    segs = Array.init segments (fun id -> Mc_segment.make ?capacity ~fast_path ~id ());
+    segs = Array.init segments (fun id -> Mc_segment.make ?capacity ~id ());
     registration = Mutex.create ();
     claimed = Array.make segments false;
     handle_stats = [];
@@ -203,22 +195,6 @@ let of_config (c : Config.t) =
     trace_on = trace;
     trace_capacity;
   }
-
-let create ?(kind = Linear) ?(seed = 42L) ?capacity ?(fast_path = true)
-    ?(trace = false) ?(trace_capacity = 8192) ?topology
-    ?(topology_aware = true) ~segments () =
-  of_config
-    {
-      Config.segments;
-      kind;
-      seed;
-      capacity;
-      fast_path;
-      trace;
-      trace_capacity;
-      topology;
-      topology_aware;
-    }
 
 let segments t = Array.length t.segs
 

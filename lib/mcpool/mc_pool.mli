@@ -8,11 +8,11 @@
     result that the simple linear/random searches suffice motivates
     [Linear] as the default here).
 
-    Typical use: create with one segment per worker domain, {!register}
-    once in each domain, then {!add}/{!remove} freely. All operations are
-    thread-safe; [remove] returning [None] means the pool was confirmed
-    empty while every registered worker was simultaneously searching — the
-    natural quiescence signal for task-graph workloads. *)
+    Typical use: build with {!of_config}, one segment per worker domain,
+    {!register} once in each domain, then {!add}/{!remove} freely. All
+    operations are thread-safe; [remove] returning [None] means the pool
+    was confirmed empty while every registered worker was simultaneously
+    searching — the natural quiescence signal for task-graph workloads. *)
 
 type kind = Cpool_intf.kind = Linear | Random | Tree | Hinted
 (** The shared algorithm type ({!Cpool_intf.kind}), re-exported so the old
@@ -20,16 +20,8 @@ type kind = Cpool_intf.kind = Linear | Random | Tree | Hinted
     search plus a hint board ({!Mc_hints}): a searcher that sweeps every
     segment empty publishes a claimable hint and parks, and adds deliver
     elements straight into a parked searcher's segment before touching
-    their own (paper §5). *)
-
-val kind_to_string : kind -> string
-(** Deprecated alias for {!Cpool_intf.to_string}. *)
-
-val kind_of_string : string -> (kind, string) result
-(** Alias for {!Cpool_intf.of_string}. *)
-
-val all_kinds : kind list
-(** Alias for {!Cpool_intf.all}. *)
+    their own (paper §5). Names and parsing live in {!Cpool_intf}
+    ([to_string], [of_string], [all]). *)
 
 type 'a t
 
@@ -54,9 +46,6 @@ module Config : sig
             spare room in its own segment before stealing so the banked
             remainder always fits (no segment ever exceeds its capacity,
             even transiently). *)
-    fast_path : bool;
-        (** Enable the segments' lock-free owner path (default [true]);
-            [false] is the all-mutex baseline used for benchmarking. *)
     trace : bool;
         (** Give every handle a per-domain {!Mc_trace} event ring
             (default [false]); when off, handles share the no-op
@@ -86,8 +75,8 @@ module Config : sig
   }
 
   val default : t
-  (** One [Linear] segment, seed [42L], unbounded, fast path on, no
-      trace, no topology. Build pools as record updates of this. *)
+  (** One [Linear] segment, seed [42L], unbounded, no trace, no
+      topology. Build pools as record updates of this. *)
 end
 
 val of_config : Config.t -> 'a t
@@ -95,27 +84,6 @@ val of_config : Config.t -> 'a t
     [Invalid_argument] if [c.segments <= 0], [c.capacity <= Some 0],
     [c.trace_capacity <= 0], or the topology's node count differs from
     [c.segments]. *)
-
-val create :
-  ?kind:kind ->
-  ?seed:int64 ->
-  ?capacity:int ->
-  ?fast_path:bool ->
-  ?trace:bool ->
-  ?trace_capacity:int ->
-  ?topology:Cpool_topology.t ->
-  ?topology_aware:bool ->
-  segments:int ->
-  unit ->
-  'a t
-[@@alert
-  deprecated
-    "Use Mc_pool.of_config { Config.default with segments = ... } instead; \
-     the keyword create is a thin wrapper kept for transition."]
-(** [create ~segments ()] is
-    [of_config { Config.default with segments; ... }] — the historical
-    keyword interface, kept as a deprecated wrapper. Defaults and
-    validation are exactly {!Config.default} and {!of_config}'s. *)
 
 val segments : 'a t -> int
 
@@ -216,7 +184,7 @@ val stats_of_handle : handle -> Mc_stats.t
     worker quiesces. *)
 
 val tracing : 'a t -> bool
-(** [tracing t] is whether the pool was created with [~trace:true]. *)
+(** [tracing t] is whether the pool was built with [Config.trace] set. *)
 
 val trace_of_handle : handle -> Mc_trace.t
 (** [trace_of_handle h] is the worker's event ring ({!Mc_trace.disabled}
@@ -230,8 +198,8 @@ val traces : 'a t -> Mc_trace.t list
     workers quiesce. *)
 
 val segment_stats : 'a t -> Mc_stats.t array
-(** [segment_stats t] is each segment's live path telemetry (fast vs
-    locked ring operations, inbox adds, batched-steal sizes), indexed by
+(** [segment_stats t] is each segment's live path telemetry (owner ring
+    pushes and pops, inbox adds and drains, CAS retries), indexed by
     slot. Racy while workers run; exact at quiescence. *)
 
 val stats : 'a t -> Mc_stats.t

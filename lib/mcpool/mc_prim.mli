@@ -7,10 +7,11 @@
     a scheduling point and let a bounded DFS enumerate all interleavings.
 
     Four modules: [Atomic] and [Mutex] are the synchronising operations
-    (scheduling points under the checker); [Plain] is one unsynchronised
-    cell and [Slots] a fixed-length array of them (race-checked under the
-    checker, never scheduling points). On hardware a [Slots.t] is one bare
-    array, so the segment's ring costs one block, not one box per slot. *)
+    (scheduling points under the checker; the segment itself takes no
+    lock); [Plain] is one unsynchronised cell and [Slots] a fixed-length
+    array of them (race-checked under the checker, never scheduling
+    points). On hardware a [Slots.t] is one bare array, so the segment's
+    ring costs one block, not one box per slot. *)
 
 module type ATOMIC = sig
   type 'a t

@@ -1,4 +1,4 @@
-(* The hardware instantiation of the segment: Stdlib Atomic + Mutex.
+(* The hardware instantiation of the segment, on Mc_prim.Real.
    All the logic lives in Mc_segment_core so the interleaving checker can
    run the identical code on instrumented primitives. *)
 include Mc_segment_core.Make (Mc_prim.Real)

@@ -6,10 +6,8 @@
     [bottom]; {e every} consumer — the owner's pop and any number of
     concurrent stealers — takes from the front by copying a window and
     committing it with a single CAS on [top] (stealers claim up to half the
-    ring in one such batched claim). No operation takes a mutex on the
-    default fast path; the segment mutex exists only for the
-    [~fast_path:false] all-mutex baseline twin. The layout and the
-    memory-ordering argument are documented in DESIGN.md §12.
+    ring in one such batched claim). No operation takes a lock. The layout
+    and the memory-ordering argument are documented in DESIGN.md §12.
 
     Ownership discipline: exactly one domain at a time may call the owner
     operations ({!add}, {!try_add}, {!try_remove}, {!deposit}, {!reserve},
@@ -25,14 +23,9 @@
 
 type 'a t
 
-val make : ?capacity:int -> ?fast_path:bool -> id:int -> unit -> 'a t
+val make : ?capacity:int -> id:int -> unit -> 'a t
 (** [make ~id ()] is an empty segment; [capacity] bounds it (default
-    unbounded). [fast_path] (default [true]) enables the lock-free
-    protocol; [~fast_path:false] routes every operation — owner, spiller
-    and stealer alike — through the segment mutex instead, running the same
-    cursor code with each CAS uncontended: the all-mutex baseline the
-    throughput benchmark compares against. Raises [Invalid_argument] if
-    [capacity <= 0]. *)
+    unbounded). Raises [Invalid_argument] if [capacity <= 0]. *)
 
 val id : 'a t -> int
 
@@ -47,8 +40,7 @@ val size : 'a t -> int
 val add : 'a t -> 'a -> unit
 (** [add s x] inserts unconditionally, ignoring any capacity (only safe on
     unbounded segments; the pool uses it for unbounded adds and banking).
-    On the fast path it allocates nothing unless the ring must grow.
-    Owner only. *)
+    It allocates nothing unless the ring must grow. Owner only. *)
 
 val try_add : 'a t -> 'a -> bool
 (** [try_add s x] inserts unless that would exceed the capacity, counting
@@ -70,8 +62,8 @@ val try_remove : 'a t -> 'a option
     the ring, refilled from the spill inbox when the ring runs dry. Always
     lock-free: the take commits with one CAS on the front cursor, shared
     with stealers. (The pool is unordered — FIFO is a property of this
-    implementation, pinned by tests, not of the pool interface.) On the
-    fast path its only allocation is the returned [Some]. Owner only. *)
+    implementation, pinned by tests, not of the pool interface.) Its only
+    allocation is the returned [Some]. Owner only. *)
 
 val steal_half : ?max_take:int -> 'a t -> 'a Cpool.Steal.loot
 (** [steal_half s] claims [min (ceil n/2) max_take] of the [n] ring
@@ -106,10 +98,10 @@ val inbox_length : 'a t -> int
     the stack; telemetry and tests only). *)
 
 val stats : 'a t -> Mc_stats.t
-(** [stats s] is the segment's live path telemetry (fast vs locked
-    pushes/pops, inbox adds/drains, CAS retries). Owner-written fields have
-    a single writer; cross-domain fields are atomic inside [Mc_stats]; read
-    racily or merge at quiescence. *)
+(** [stats s] is the segment's live path telemetry (ring pushes/pops,
+    inbox adds/drains, CAS retries). Owner-written fields have a single
+    writer; cross-domain fields are atomic inside [Mc_stats]; read racily
+    or merge at quiescence. *)
 
 val invariant_ok : 'a t -> bool
 (** [invariant_ok s] checks that the atomic count matches the stored

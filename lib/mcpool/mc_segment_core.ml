@@ -1,9 +1,7 @@
 module type SEG = sig
-  type 'a atomic
-  type mutex
   type 'a t
 
-  val make : ?capacity:int -> ?fast_path:bool -> id:int -> unit -> 'a t
+  val make : ?capacity:int -> id:int -> unit -> 'a t
   val id : 'a t -> int
   val capacity : 'a t -> int option
   val size : 'a t -> int
@@ -24,12 +22,8 @@ end
 
 module Make (P : Mc_prim.S) = struct
   module Atomic = P.Atomic
-  module Mutex = P.Mutex
   module Plain = P.Plain
   module Slots = P.Slots
-
-  type 'a atomic = 'a Atomic.t
-  type mutex = Mutex.t
 
   (* Ring slots hold [Obj.repr]ed elements: one physical representation
      serves every ['a], so a vacated slot can be cleared with an immediate
@@ -43,9 +37,7 @@ module Make (P : Mc_prim.S) = struct
   let initial_ring = 8
 
   (* The segment is a lock-free SPMC FIFO ring plus a lock-free MPSC inbox.
-     No operation takes the mutex when [fast_path] is on; the mutex exists
-     only for the [fast_path:false] all-mutex baseline twin the throughput
-     benchmark compares against.
+     No operation takes a lock.
 
      [ring] is a power-of-two array indexed modulo its length by two
      monotonically non-decreasing cursors, [top <= bottom]:
@@ -113,8 +105,6 @@ module Make (P : Mc_prim.S) = struct
   type 'a t = {
     seg_id : int;
     bound : int option;
-    fast_path : bool; (* false = all-mutex baseline, for benchmarking *)
-    mutex : Mutex.t;
     ring : Obj.t Slots.t Atomic.t; (* swapped only by the owner, on growth *)
     top : int Atomic.t;
     bottom : int Atomic.t;
@@ -126,15 +116,13 @@ module Make (P : Mc_prim.S) = struct
 
   let fresh_ring n = Slots.make n vacant
 
-  let make ?capacity ?(fast_path = true) ~id () =
+  let make ?capacity ~id () =
     (match capacity with
     | Some c when c <= 0 -> invalid_arg "Mc_segment.make: capacity must be positive"
     | Some _ | None -> ());
     {
       seg_id = id;
       bound = capacity;
-      fast_path;
-      mutex = Mutex.create ();
       ring = Atomic.make_padded (fresh_ring initial_ring);
       top = Atomic.make_padded 0;
       bottom = Atomic.make_padded 0;
@@ -156,24 +144,6 @@ module Make (P : Mc_prim.S) = struct
   let stats s = s.seg_stats
 
   let inbox_length s = List.length (Atomic.get s.inbox)
-
-  let with_lock s f =
-    Mutex.lock s.mutex;
-    match f () with
-    | v ->
-      Mutex.unlock s.mutex;
-      v
-    | exception e ->
-      Mutex.unlock s.mutex;
-      raise e
-
-  (* Every public operation runs serialized: directly with the fast path
-     on, under the segment mutex otherwise. Under the mutex the same cursor
-     code runs with every CAS uncontended, so the baseline measures the
-     cost of serialization itself, not a second algorithm. The owner's hot
-     operations ([add], [try_add], [try_remove]) spell the branch out, so
-     their fast path builds no closure; the rest go through [serialized]. *)
-  let serialized s f = if s.fast_path then f () else with_lock s f
 
   let shift_count s d = ignore (Atomic.fetch_and_add s.count d)
 
@@ -254,10 +224,6 @@ module Make (P : Mc_prim.S) = struct
     store_all ring b xs;
     ignore (Atomic.fetch_and_add s.bottom n)
 
-  let note_push s =
-    if s.fast_path then Mc_stats.note_fast_push s.seg_stats
-    else Mc_stats.note_locked_push s.seg_stats
-
   (* [push_many] for one element, stored directly: no list cell, no
      closure — the owner's add allocates nothing unless the ring grows. *)
   let push_one s x =
@@ -266,21 +232,18 @@ module Make (P : Mc_prim.S) = struct
     let ring = room_for s ~b 1 in
     Slots.set ring (slot ring b) (Obj.repr x);
     ignore (Atomic.fetch_and_add s.bottom 1);
-    note_push s
+    Mc_stats.note_fast_push s.seg_stats
 
   (* Count first, store second: [count >= stored] must hold at every
      instant or a concurrent steal's decrement could drive it negative. *)
-  let add_owned s x =
+  let add s x =
     shift_count s 1;
     push_one s x
 
-  let add s x =
-    if s.fast_path then add_owned s x else with_lock s (fun () -> add_owned s x)
-
-  let try_add_owned s x =
+  let try_add s x =
     match s.bound with
     | None ->
-      add_owned s x;
+      add s x;
       true
     | Some c ->
       if claim_up_to s ~bound:c 1 = 0 then false
@@ -288,10 +251,6 @@ module Make (P : Mc_prim.S) = struct
         push_one s x;
         true
       end
-
-  let try_add s x =
-    if s.fast_path then try_add_owned s x
-    else with_lock s (fun () -> try_add_owned s x)
 
   (* Foreign add (the pool's spill path): only the owner may touch the
      ring, so other domains CAS-push onto the MPSC inbox. Capacity is
@@ -305,20 +264,19 @@ module Make (P : Mc_prim.S) = struct
     end
 
   let spill_add s x =
-    serialized s (fun () ->
-        let claimed =
-          match s.bound with
-          | None ->
-            shift_count s 1;
-            true
-          | Some c -> claim_up_to s ~bound:c 1 = 1
-        in
-        claimed
-        && begin
-          mpsc_push s x;
-          Mc_stats.note_inbox_add s.seg_stats;
-          true
-        end)
+    let claimed =
+      match s.bound with
+      | None ->
+        shift_count s 1;
+        true
+      | Some c -> claim_up_to s ~bound:c 1 = 1
+    in
+    claimed
+    && begin
+      mpsc_push s x;
+      Mc_stats.note_inbox_add s.seg_stats;
+      true
+    end
 
   (* Take up to [want] elements from the ring front with one CAS on [top].
      Copy-then-claim: slots are read into a private [Obj.t] buffer FIRST;
@@ -398,11 +356,7 @@ module Make (P : Mc_prim.S) = struct
     | Some _ as r -> r
     | None -> if drain_inbox s = 0 then None else pop s
 
-  let note_pop s =
-    if s.fast_path then Mc_stats.note_fast_pop s.seg_stats
-    else Mc_stats.note_locked_pop s.seg_stats
-
-  let try_remove_owned s =
+  let try_remove s =
     if Atomic.get s.count = 0 then begin
       (* Idle moment: finish clearing consumed slots (a no-op when already
          clean), so a drained segment pins no dead elements. *)
@@ -412,15 +366,11 @@ module Make (P : Mc_prim.S) = struct
     else
       match pop s with
       | Some _ as r ->
-        note_pop s;
+        Mc_stats.note_fast_pop s.seg_stats;
         r
       | None ->
         scrub_consumed s;
         None
-
-  let try_remove s =
-    if s.fast_path then try_remove_owned s
-    else with_lock s (fun () -> try_remove_owned s)
 
   (* Steal fallback when the ring is dry: lift single cells off the MPSC
      stack. Cells are fresh blocks and never re-pushed, so the
@@ -455,78 +405,74 @@ module Make (P : Mc_prim.S) = struct
 
   let steal_half ?(max_take = max_int) s =
     if max_take < 1 then invalid_arg "Mc_segment.steal_half: max_take must be >= 1";
-    serialized s (fun () ->
-        let taken =
-          match claim_ring s ~want:max_take ~halve:true with
-          | [] -> steal_inbox s max_take
-          | _ :: _ as taken -> taken
-        in
-        match taken with
-        | [] -> Cpool.Steal.Nothing
-        | [ x ] -> Cpool.Steal.Single x
-        | x :: rest -> Cpool.Steal.Batch (x, rest))
+    let taken =
+      match claim_ring s ~want:max_take ~halve:true with
+      | [] -> steal_inbox s max_take
+      | _ :: _ as taken -> taken
+    in
+    match taken with
+    | [] -> Cpool.Steal.Nothing
+    | [ x ] -> Cpool.Steal.Single x
+    | x :: rest -> Cpool.Steal.Batch (x, rest)
 
   let deposit s xs =
     match xs with
     | [] -> []
     | _ ->
       let n = List.length xs in
-      serialized s (fun () ->
-          let fits, rejected =
-            match s.bound with
-            | None ->
-              shift_count s n;
-              (xs, [])
-            | Some c ->
-              let granted = claim_up_to s ~bound:c n in
-              let rec split taken i rest =
-                if i = granted then (List.rev taken, rest)
-                else
-                  match rest with
-                  | [] -> (List.rev taken, [])
-                  | x :: tl -> split (x :: taken) (i + 1) tl
-              in
-              split [] 0 xs
+      let fits, rejected =
+        match s.bound with
+        | None ->
+          shift_count s n;
+          (xs, [])
+        | Some c ->
+          let granted = claim_up_to s ~bound:c n in
+          let rec split taken i rest =
+            if i = granted then (List.rev taken, rest)
+            else
+              match rest with
+              | [] -> (List.rev taken, [])
+              | x :: tl -> split (x :: taken) (i + 1) tl
           in
-          (match fits with
-          | [] -> ()
-          | _ ->
-            push_many s fits (List.length fits);
-            note_push s);
-          rejected)
+          split [] 0 xs
+      in
+      (match fits with
+      | [] -> ()
+      | _ ->
+        push_many s fits (List.length fits);
+        Mc_stats.note_fast_push s.seg_stats);
+      rejected
 
   let reserve s k =
     if k < 0 then invalid_arg "Mc_segment.reserve: negative reservation";
     if k = 0 then 0
     else
-      serialized s (fun () ->
-          match s.bound with
-          | None ->
-            shift_count s k;
-            k
-          | Some c -> claim_up_to s ~bound:c k)
+      match s.bound with
+      | None ->
+        shift_count s k;
+        k
+      | Some c -> claim_up_to s ~bound:c k
 
   let refill s ~reserved xs =
     let n = List.length xs in
     if n > reserved then invalid_arg "Mc_segment.refill: more elements than reserved";
     if reserved = 0 then ()
-    else
-      serialized s (fun () ->
-          (match xs with
-          | [] -> ()
-          | _ ->
-            push_many s xs n;
-            note_push s);
-          (* Release the unused remainder of the reservation — after the
-             store, so [count >= stored] is never violated. *)
-          if n <> reserved then shift_count s (n - reserved))
+    else begin
+      (match xs with
+      | [] -> ()
+      | _ ->
+        push_many s xs n;
+        Mc_stats.note_fast_push s.seg_stats);
+      (* Release the unused remainder of the reservation — after the
+         store, so [count >= stored] is never violated. *)
+      if n <> reserved then shift_count s (n - reserved)
+    end
 
   let stored_now s =
     Atomic.get s.bottom - Atomic.get s.top + List.length (Atomic.get s.inbox)
 
-  (* Quiescent-only: with no thread mid-operation there is nothing to
-     stabilize with the mutex — the cursors and the count are read
-     directly. [top <= bottom] is the cursor invariant ([bottom] is
+  (* Quiescent-only: with no thread mid-operation the cursors and the count
+     are read directly. [top <= bottom] is the cursor invariant ([bottom] is
      monotone and a claim never exceeds [bottom - top]); [scrub <= top]
      because the scrub cursor only chases [top]. *)
   let invariant_ok s =

@@ -4,17 +4,15 @@
     where the operations, the ring protocol and the ownership discipline
     are documented. The interleaving checker instantiates the very same
     code with instrumented shims ([Cpool_analysis.Sched.Prim]) whose every
-    atomic and mutex operation is a scheduling point, so the schedule
-    enumeration exercises the shipped segment logic — including the
-    copy-then-CAS front-window claim shared by owner pops and stealers, and
-    the MPSC inbox push/drain — not a hand-written model of it. *)
+    atomic operation is a scheduling point, so the schedule enumeration
+    exercises the shipped segment logic — including the copy-then-CAS
+    front-window claim shared by owner pops and stealers, and the MPSC
+    inbox push/drain — not a hand-written model of it. *)
 
 module type SEG = sig
-  type 'a atomic
-  type mutex
   type 'a t
 
-  val make : ?capacity:int -> ?fast_path:bool -> id:int -> unit -> 'a t
+  val make : ?capacity:int -> id:int -> unit -> 'a t
   val id : 'a t -> int
   val capacity : 'a t -> int option
   val size : 'a t -> int
@@ -41,5 +39,4 @@ module type SEG = sig
       harness use only. *)
 end
 
-module Make (P : Mc_prim.S) :
-  SEG with type 'a atomic = 'a P.Atomic.t and type mutex = P.Mutex.t
+module Make (P : Mc_prim.S) : SEG

@@ -20,17 +20,15 @@ type t = {
   mutable hints_delivered : int;
   mutable hints_expired : int;
   (* Segment-side path counters: which protocol path each ring operation
-     took. Fast/locked push/pop and the drain counters are written only by
-     the segment's owner domain (plain stores are enough); the remaining
+     took. Push/pop and the drain counters are written only by the
+     segment's owner domain (plain stores are enough); the remaining
      segment counters are bumped by whichever domain performed the
      operation — foreign spillers and stealers race on them, so they are
      genuine atomics ([Stdlib.Atomic], not the functor's shims: telemetry
      is not part of the verified protocol and must not add scheduling
      points to the interleave checker). *)
   mutable fast_pushes : int;
-  mutable locked_pushes : int;
   mutable fast_pops : int;
-  mutable locked_pops : int;
   mutable inbox_drains : int; (* owner inbox-to-ring transfers *)
   mutable inbox_drained : int; (* elements moved by those transfers *)
   inbox_adds : int Stdlib.Atomic.t; (* successful MPSC pushes, any domain *)
@@ -76,9 +74,7 @@ let create () =
       hints_delivered = 0;
       hints_expired = 0;
       fast_pushes = 0;
-      locked_pushes = 0;
       fast_pops = 0;
-      locked_pops = 0;
       inbox_drains = 0;
       inbox_drained = 0;
       inbox_adds = Stdlib.Atomic.make 0;
@@ -133,11 +129,7 @@ let note_hint_expired s = s.hints_expired <- s.hints_expired + 1
 
 let note_fast_push s = s.fast_pushes <- s.fast_pushes + 1
 
-let note_locked_push s = s.locked_pushes <- s.locked_pushes + 1
-
 let note_fast_pop s = s.fast_pops <- s.fast_pops + 1
-
-let note_locked_pop s = s.locked_pops <- s.locked_pops + 1
 
 let note_inbox_add s = Stdlib.Atomic.incr s.inbox_adds
 
@@ -198,9 +190,7 @@ let merge a b =
   s.hints_delivered <- a.hints_delivered + b.hints_delivered;
   s.hints_expired <- a.hints_expired + b.hints_expired;
   s.fast_pushes <- a.fast_pushes + b.fast_pushes;
-  s.locked_pushes <- a.locked_pushes + b.locked_pushes;
   s.fast_pops <- a.fast_pops + b.fast_pops;
-  s.locked_pops <- a.locked_pops + b.locked_pops;
   s.inbox_drains <- a.inbox_drains + b.inbox_drains;
   s.inbox_drained <- a.inbox_drained + b.inbox_drained;
   Stdlib.Atomic.set s.inbox_adds (inbox_adds a + inbox_adds b);
@@ -243,9 +233,7 @@ let counters s =
       ("hints delivered", s.hints_delivered);
       ("hints expired", s.hints_expired);
       ("fast-path pushes", s.fast_pushes);
-      ("locked pushes", s.locked_pushes);
       ("fast-path pops", s.fast_pops);
-      ("locked pops", s.locked_pops);
       ("inbox adds", inbox_adds s);
       ("inbox drains", s.inbox_drains);
       ("inbox drained", s.inbox_drained);
@@ -296,15 +284,6 @@ let hints_expired s = s.hints_expired
 
 let fast_path_ops s = s.fast_pushes + s.fast_pops
 
-(* Spill (inbox) adds are no longer counted here: they are single-CAS
-   lock-free pushes now, so only operations that actually took the segment
-   mutex — the [fast_path:false] baseline — belong in the locked bucket. *)
-let locked_path_ops s = s.locked_pushes + s.locked_pops
-
-let fast_path_fraction s =
-  let total = fast_path_ops s + locked_path_ops s in
-  if total = 0 then Float.nan else float_of_int (fast_path_ops s) /. float_of_int total
-
 let mean_segments_per_steal s =
   if s.steals = 0 then Float.nan
   else float_of_int s.steal_probes /. float_of_int s.steals
@@ -341,8 +320,7 @@ let table_row name s =
 
 let path_table_headers =
   [
-    "segment"; "fast push"; "locked push"; "fast pop"; "locked pop"; "inbox";
-    "drains"; "cas retries"; "mpsc retries"; "fast %";
+    "segment"; "pushes"; "pops"; "inbox"; "drains"; "cas retries"; "mpsc retries";
   ]
 
 let mean_batch_size s =
@@ -358,14 +336,11 @@ let path_row name s =
   [
     name;
     string_of_int s.fast_pushes;
-    string_of_int s.locked_pushes;
     string_of_int s.fast_pops;
-    string_of_int s.locked_pops;
     string_of_int (inbox_adds s);
     string_of_int s.inbox_drains;
     string_of_int (top_cas_retries s);
     string_of_int (mpsc_retries s);
-    Cpool_metrics.Render.float_cell (100.0 *. fast_path_fraction s);
   ]
 
 let render_path_table ?title named =

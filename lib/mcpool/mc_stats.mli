@@ -79,25 +79,20 @@ val note_hint_expired : t -> unit
 (** {2 Segment-side path counters (called by [Mc_segment])}
 
     These record which protocol path each ring operation took, making the
-    lock-free fast path observable rather than asserted. Fast/locked
-    push/pop and the drain counters are bumped only by the segment's owner
-    domain (plain stores); inbox adds and the CAS-retry counters are bumped
-    by whichever domain performed the operation and are backed by real
-    atomics, so the lock-free spill and steal paths can report without a
-    serialization point to hide behind. *)
+    lock-free protocol observable rather than asserted. Push/pop and the
+    drain counters are bumped only by the segment's owner domain (plain
+    stores); inbox adds and the CAS-retry counters are bumped by whichever
+    domain performed the operation and are backed by real atomics, so the
+    lock-free spill and steal paths can report without a serialization
+    point to hide behind. *)
 
 val note_fast_push : t -> unit
-(** An owner push that published with atomics only (no mutex). *)
-
-val note_locked_push : t -> unit
-(** An owner push (or batch) under the all-mutex baseline mode
-    ([fast_path:false]). *)
+(** An owner push (or batch) into the ring, published with one atomic add
+    on [bottom]. Counted under the label ["fast-path pushes"]. *)
 
 val note_fast_pop : t -> unit
-(** A successful owner pop completed without the mutex. *)
-
-val note_locked_pop : t -> unit
-(** A successful owner pop under the all-mutex baseline mode. *)
+(** A successful owner pop, committed with one CAS on [top]. Counted under
+    the label ["fast-path pops"]. *)
 
 val note_inbox_add : t -> unit
 (** A foreign (spill) add CAS-pushed onto the segment's MPSC inbox.
@@ -181,16 +176,7 @@ val hints_delivered : t -> int
 val hints_expired : t -> int
 
 val fast_path_ops : t -> int
-(** Owner operations completed without the mutex. *)
-
-val locked_path_ops : t -> int
-(** Operations that took the segment mutex — only the [fast_path:false]
-    baseline produces these now. Inbox adds are single-CAS lock-free and no
-    longer count as locked. *)
-
-val fast_path_fraction : t -> float
-(** [fast_path_ops / (fast_path_ops + locked_path_ops)]; [nan] when no path
-    was recorded. *)
+(** Owner ring operations: pushes (or batches) plus successful pops. *)
 
 val inbox_adds : t -> int
 (** Successful MPSC inbox pushes (foreign spill adds). *)
@@ -227,6 +213,6 @@ val render_table : ?title:string -> (string * t) list -> string
     when there are several. *)
 
 val render_path_table : ?title:string -> (string * t) list -> string
-(** Fast-path/locked-path table (pushes, pops, inbox adds/drains, CAS
-    retries, fast-path percentage), one row per named stats — used with
-    per-segment stats, where these counters live. *)
+(** Ring-path table (owner pushes and pops, inbox adds/drains, CAS
+    retries), one row per named stats — used with per-segment stats, where
+    these counters live. *)

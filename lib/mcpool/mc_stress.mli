@@ -63,8 +63,8 @@ type report = {
   steals : int;
   per_worker : (string * Mc_stats.t) list;  (** One entry per worker domain. *)
   per_segment : (string * Mc_stats.t) list;
-      (** Each segment's ring path counters (fast vs locked push/pop, inbox
-          adds, batched steals). *)
+      (** Each segment's ring path counters (owner push/pop, inbox adds
+          and drains, CAS retries). *)
   merged : Mc_stats.t;
       (** Pool-wide telemetry: every handle ever issued, prefill included. *)
   traces : Mc_trace.t list;
@@ -83,5 +83,5 @@ val passed : report -> bool
 
 val render : report -> string
 (** Human-readable report: throughput, the per-domain telemetry table, the
-    per-segment fast/locked path table, the pool-wide steal distributions
+    per-segment ring path table, the pool-wide steal distributions
     (via {!Cpool_metrics.Render}), and the invariant verdicts. *)

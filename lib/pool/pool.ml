@@ -4,13 +4,7 @@ open Cpool_sim
    pool, re-exported so [Pool.Linear] etc. keep compiling. *)
 type kind = Cpool_intf.kind = Linear | Random | Tree | Hinted
 
-let kind_to_string = Cpool_intf.to_string
-
-let kind_of_string = Cpool_intf.of_string
-
 let all_kinds = [ Linear; Random; Tree ]
-
-let all_kinds_extended = all_kinds @ [ Hinted ]
 
 type config = {
   segments : int;

@@ -12,19 +12,12 @@ type kind = Cpool_intf.kind = Linear | Random | Tree | Hinted
     [Pool.Linear]-style constructors keep compiling. [Hinted] is the
     paper's Section 5 extension: linear search plus a hint board —
     searchers announce themselves and adders deliver elements directly
-    into a waiting searcher's segment (see {!Hints}). *)
-
-val kind_to_string : kind -> string
-(** Deprecated alias for {!Cpool_intf.to_string}. *)
-
-val kind_of_string : string -> (kind, string) result
-(** Alias for {!Cpool_intf.of_string}. *)
+    into a waiting searcher's segment (see {!Hints}). Names and parsing
+    live in {!Cpool_intf} ([to_string], [of_string], [all]). *)
 
 val all_kinds : kind list
-(** The paper's three algorithms: [Linear; Random; Tree]. *)
-
-val all_kinds_extended : kind list
-(** {!all_kinds} plus [Hinted] (= {!Cpool_intf.all}). *)
+(** The paper's three algorithms: [Linear; Random; Tree] — unlike
+    {!Cpool_intf.all}, without [Hinted]. *)
 
 type config = {
   segments : int;  (** Number of segments = participants, one per node. *)
@@ -98,7 +91,7 @@ val create :
     identity — participant [i]'s segment lives on node [i]).
     [on_size_change ~seg ~size] fires after every segment mutation, for the
     Figure 3-6 traces. Raises [Invalid_argument] if [segments <= 0] or
-    [capacity <= 0] (the same validation {!Mc_pool.create} applies). *)
+    [capacity <= 0] (the same validation [Mc_pool.of_config] applies). *)
 
 val config : 'a t -> config
 

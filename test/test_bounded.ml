@@ -148,7 +148,7 @@ let test_bounded_conservation kind () =
 let per_kind name f =
   List.map
     (fun kind ->
-      Alcotest.test_case (Printf.sprintf "%s (%s)" name (Pool.kind_to_string kind)) `Quick (f kind))
+      Alcotest.test_case (Printf.sprintf "%s (%s)" name (Cpool_intf.to_string kind)) `Quick (f kind))
     Pool.all_kinds
 
 let suites =

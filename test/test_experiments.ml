@@ -239,7 +239,7 @@ let test_ablation_ranking () =
   List.iter
     (fun row ->
       Alcotest.(check bool)
-        (Cpool.Pool.kind_to_string row.Ablation.kind ^ ": boxed not cheaper")
+        (Cpool_intf.to_string row.Ablation.kind ^ ": boxed not cheaper")
         true
         (row.Ablation.boxed.Ablation.op_time >= row.Ablation.counting.Ablation.op_time *. 0.98))
     r.Ablation.rows

@@ -74,13 +74,11 @@ let test_try_remove_nonblocking kind () =
 
 (* --- Multi-domain stress --- *)
 
-let test_conservation_under_domains ?(fast_path = true) kind () =
+let test_conservation_under_domains kind () =
   (* 4 domains, each adds [per] elements and removes [per] elements; at the
      end the pool must be exactly empty and every element consumed once. *)
   let domains = 4 and per = 2_000 in
-  let pool =
-    Mc_pool.of_config { Mc_pool.Config.default with kind; fast_path; segments = domains }
-  in
+  let pool = Mc_pool.of_config { Mc_pool.Config.default with kind; segments = domains } in
   let consumed = Array.make domains 0 in
   let spawn i =
     Domain.spawn (fun () ->
@@ -377,10 +375,10 @@ let test_kind_round_trip () =
       | Ok k' -> Alcotest.(check bool) (s ^ " round-trips") true (k = k')
       | Error e -> Alcotest.fail e)
     Cpool_intf.all;
-  (match Mc_pool.kind_of_string "HINTED" with
+  (match Cpool_intf.of_string "HINTED" with
   | Ok Mc_pool.Hinted -> ()
   | _ -> Alcotest.fail "of_string must be case-insensitive");
-  match Mc_pool.kind_of_string "bogus" with
+  match Cpool_intf.of_string "bogus" with
   | Ok _ -> Alcotest.fail "expected an error for an unknown kind"
   | Error msg ->
     let contains hay needle =
@@ -493,6 +491,49 @@ let test_hinted_sparse_stress_cell () =
 
 let per_kind name f = List.map (fun (kn, k) -> Alcotest.test_case (name ^ " (" ^ kn ^ ")") `Quick (f k)) kinds
 
+(* [of_config] is the one constructor: the default record gives an
+   unbounded, untraced Linear pool with no topology, and every field of a
+   non-default record reaches the pool. *)
+let test_of_config_defaults () =
+  let pool : int Mc_pool.t = Mc_pool.of_config { Mc_pool.Config.default with segments = 3 } in
+  Alcotest.(check int) "segments" 3 (Mc_pool.segments pool);
+  Alcotest.(check bool) "default kind" true (Mc_pool.kind pool = Mc_pool.Linear);
+  Alcotest.(check bool) "no topology" true (Mc_pool.topology pool = None);
+  Alcotest.(check bool) "untraced" false (Mc_pool.tracing pool);
+  let h = Mc_pool.register pool in
+  for i = 1 to 100 do
+    Alcotest.(check bool) "unbounded" true (Mc_pool.try_add pool h i)
+  done;
+  Alcotest.(check int) "all stored" 100 (Mc_pool.size pool);
+  Mc_pool.deregister pool h
+
+let test_of_config_forwards_every_field () =
+  let topo = Cpool_topology.two_group ~nodes:2 () in
+  let pool : int Mc_pool.t =
+    Mc_pool.of_config
+      {
+        Mc_pool.Config.default with
+        kind = Mc_pool.Hinted;
+        seed = 9L;
+        capacity = Some 4;
+        trace = true;
+        segments = 2;
+        topology = Some topo;
+        topology_aware = false;
+      }
+  in
+  Alcotest.(check bool) "kind" true (Mc_pool.kind pool = Mc_pool.Hinted);
+  Alcotest.(check bool) "trace" true (Mc_pool.tracing pool);
+  Alcotest.(check bool) "topology" true (Mc_pool.topology pool = Some topo);
+  Alcotest.(check bool) "topology_aware" false (Mc_pool.topology_aware pool);
+  let h = Mc_pool.register_at pool 0 in
+  (* capacity is per segment: 2 segments x 4 fit, the 9th add bounces. *)
+  for i = 1 to 8 do
+    Alcotest.(check bool) "fits in capacity" true (Mc_pool.try_add pool h i)
+  done;
+  Alcotest.(check bool) "capacity" false (Mc_pool.try_add pool h 9);
+  Mc_pool.deregister pool h
+
 let main_suites =
   [
     ( "mcpool",
@@ -517,6 +558,12 @@ let main_suites =
       @ per_kind "conservation under domains" test_conservation_under_domains
       @ per_kind "producer/consumer domains" test_producer_consumer_domains
       @ per_kind "work-generating workload" test_work_generating_workload );
+    ( "mcpool.pool_of_config",
+      [
+        Alcotest.test_case "of_config defaults" `Quick test_of_config_defaults;
+        Alcotest.test_case "of_config forwards every field" `Quick
+          test_of_config_forwards_every_field;
+      ] );
   ]
 
 (* --- Bounded multicore pools --- *)
@@ -641,7 +688,7 @@ let test_segment_reserve_refill () =
     (Invalid_argument "Mc_segment.reserve: negative reservation") (fun () ->
       ignore (Mc_segment.reserve s (-1)))
 
-(* --- Ring protocol and the fast/locked path split --- *)
+(* --- Ring protocol and its counters --- *)
 
 let test_segment_spill_add () =
   let s : int Mc_segment.t = Mc_segment.make ~capacity:3 ~id:0 () in
@@ -843,7 +890,7 @@ let test_segment_float_elements () =
     (drain []);
   Alcotest.(check bool) "consistent" true (Mc_segment.invariant_ok s)
 
-let test_segment_fast_path_stats () =
+let test_segment_ring_op_stats () =
   let s : int Mc_segment.t = Mc_segment.make ~id:0 () in
   for i = 1 to 8 do
     Mc_segment.add s i
@@ -853,30 +900,57 @@ let test_segment_fast_path_stats () =
   done;
   let stats = Mc_segment.stats s in
   let get name = Cpool_metrics.Counters.get (Mc_stats.counters stats) name in
-  (* Every owner op is lock-free now: pushes publish with one fetch-and-add
-     of [bottom], pops (including the last element) commit with one CAS on
-     [top]. The locked counters only move under [fast_path:false]. *)
-  Alcotest.(check int) "all pushes fast" 8 (get "fast-path pushes");
-  Alcotest.(check int) "no locked pushes" 0 (get "locked pushes");
-  Alcotest.(check int) "all pops fast" 8 (get "fast-path pops");
-  Alcotest.(check int) "no locked pops" 0 (get "locked pops");
-  Alcotest.(check int) "uncontended: no CAS retries" 0 (get "top CAS retries");
-  Alcotest.(check (float 0.0)) "fraction is 1" 1.0 (Mc_stats.fast_path_fraction stats)
+  (* Every owner op is lock-free: pushes publish with one fetch-and-add of
+     [bottom], pops (including the last element) commit with one CAS on
+     [top]. The labels are read by name outside this library, so they are
+     pinned here. *)
+  Alcotest.(check int) "every push counted" 8 (get "fast-path pushes");
+  Alcotest.(check int) "every pop counted" 8 (get "fast-path pops");
+  Alcotest.(check int) "ring ops" 16 (Mc_stats.fast_path_ops stats);
+  Alcotest.(check int) "uncontended: no CAS retries" 0 (get "top CAS retries")
 
-let test_segment_baseline_mode () =
-  (* fast_path:false is the benchmark's all-mutex twin: same results, all
-     owner traffic on the locked counters. *)
-  let s : int Mc_segment.t = Mc_segment.make ~fast_path:false ~id:0 () in
-  for i = 1 to 8 do
-    Mc_segment.add s i
+(* The repository benchmark reads the merged pool counters by label, and
+   [Counters.get] answers 0 for an unknown one: a renamed label would
+   silently zero a metric rather than fail. Pin the labels on the merged
+   snapshot the benchmark actually reads, not just on one segment. *)
+let test_pool_counter_labels () =
+  let pool : int Mc_pool.t = Mc_pool.of_config { Mc_pool.Config.default with segments = 2 } in
+  let h = Mc_pool.register_at pool 0 in
+  for i = 1 to 5 do
+    Mc_pool.add pool h i
   done;
-  for _ = 1 to 8 do
-    ignore (Mc_segment.try_remove s)
+  for _ = 1 to 5 do
+    ignore (Mc_pool.try_remove pool h)
   done;
-  Alcotest.(check int) "empty" 0 (Mc_segment.size s);
-  let stats = Mc_segment.stats s in
-  Alcotest.(check int) "no fast ops" 0 (Mc_stats.fast_path_ops stats);
-  Alcotest.(check int) "all ops locked" 16 (Mc_stats.locked_path_ops stats)
+  Mc_pool.deregister pool h;
+  let stats = Mc_pool.stats pool in
+  let get = Cpool_metrics.Counters.get (Mc_stats.counters stats) in
+  Alcotest.(check int) "fast-path pushes" 5 (get "fast-path pushes");
+  Alcotest.(check int) "fast-path pops" 5 (get "fast-path pops");
+  Alcotest.(check int) "ring ops" 10 (Mc_stats.fast_path_ops stats);
+  Alcotest.(check int) "steals" 0 (get "steals")
+
+(* [deposit] and [refill] publish a whole batch with one fetch-and-add of
+   [bottom], so each counts as one ring push whatever its length; an empty
+   batch publishes nothing. A spill goes to the inbox, not the ring. *)
+let test_segment_batch_push_stats () =
+  let s : int Mc_segment.t = Mc_segment.make ~id:0 () in
+  Alcotest.(check (list int)) "unbounded deposit keeps all" [] (Mc_segment.deposit s [ 1; 2; 3 ]);
+  Alcotest.(check (list int)) "empty deposit" [] (Mc_segment.deposit s []);
+  let reserved = Mc_segment.reserve s 4 in
+  Mc_segment.refill s ~reserved [ 4; 5 ];
+  Mc_segment.refill s ~reserved:(Mc_segment.reserve s 1) [];
+  Alcotest.(check bool) "spill" true (Mc_segment.spill_add s 6);
+  let get name = Cpool_metrics.Counters.get (Mc_stats.counters (Mc_segment.stats s)) name in
+  Alcotest.(check int) "one push per non-empty batch" 2 (get "fast-path pushes");
+  Alcotest.(check int) "spill counted on the inbox" 1 (get "inbox adds");
+  Alcotest.(check int) "every element stored" 6 (Mc_segment.size s);
+  let rec drain acc =
+    match Mc_segment.try_remove s with Some x -> drain (x :: acc) | None -> List.rev acc
+  in
+  Alcotest.(check (list int)) "drained in FIFO order" [ 1; 2; 3; 4; 5; 6 ] (drain []);
+  Alcotest.(check int) "one pop per element" 6 (get "fast-path pops");
+  Alcotest.(check bool) "consistent" true (Mc_segment.invariant_ok s)
 
 let test_segment_steal_batch_stats () =
   (* Batch-size telemetry lives on the thief's handle now: with the victim
@@ -996,18 +1070,12 @@ let test_segment_mpsc_drain_completeness () =
   Alcotest.(check int) "every inbox element drained by the owner" total
     (Cpool_metrics.Counters.get c "inbox drained")
 
-let test_pool_fast_path_off_equivalent kind () =
-  (* The baseline pool must behave identically (it is the same protocol,
-     minus the lock elision): run the conservation workload on it. *)
-  test_conservation_under_domains ~fast_path:false kind ()
-
 let test_mc_bench_smoke () =
   let cell =
     {
       Cpool_mc.Mc_bench.kind = Mc_pool.Linear;
       domains = 2;
       workload = Cpool_intf.Workload.sufficient;
-      fast_path = true;
       topo = None;
       aware = true;
     }
@@ -1015,7 +1083,7 @@ let test_mc_bench_smoke () =
   let r = Cpool_mc.Mc_bench.run_cell ~seconds:0.05 cell in
   Alcotest.(check bool) "did work" true (r.Cpool_mc.Mc_bench.ops > 0);
   Alcotest.(check bool) "throughput positive" true (r.Cpool_mc.Mc_bench.ops_per_sec > 0.0);
-  Alcotest.(check bool) "fast path used" true (r.Cpool_mc.Mc_bench.fast_ops > 0);
+  Alcotest.(check bool) "ring ops counted" true (r.Cpool_mc.Mc_bench.fast_ops > 0);
   let config =
     {
       Cpool_mc.Mc_bench.default with
@@ -1025,13 +1093,77 @@ let test_mc_bench_smoke () =
     }
   in
   let doc = Cpool_mc.Mc_bench.to_json config [ r ] in
-  match Cpool_util.Json.parse (Cpool_util.Json.to_string doc) with
+  (match Cpool_util.Json.parse (Cpool_util.Json.to_string doc) with
   | Error e -> Alcotest.fail ("emitted JSON does not re-parse: " ^ e)
   | Ok doc' -> (
     match Cpool_mc.Mc_bench.validate_json doc' with
     | Ok 1 -> ()
     | Ok n -> Alcotest.fail (Printf.sprintf "expected 1 cell, validator saw %d" n)
-    | Error e -> Alcotest.fail ("validator rejected the artifact: " ^ e))
+    | Error e -> Alcotest.fail ("validator rejected the artifact: " ^ e)));
+  (* The counter-accounting check must reject a self-contradictory cell:
+     the same result with one counter pushed past [ops_attempted]. *)
+  let over = r.Cpool_mc.Mc_bench.ops_attempted + 1 in
+  List.iter
+    (fun (name, bad) ->
+      match Cpool_mc.Mc_bench.(validate_json (to_json config [ bad ])) with
+      | Error e ->
+        Alcotest.(check bool) ("error names " ^ name) true
+          (String.starts_with ~prefix:(Printf.sprintf "cell 0: %s " name) e)
+      | Ok _ -> Alcotest.failf "validator accepted %s > ops_attempted" name)
+    [ ("fast_ops", { r with fast_ops = over }); ("ops", { r with ops = over }) ]
+
+(* The committed artifact predates the removal of the all-mutex twin: its
+   cells still carry [fast_path], [locked_ops] and [fast_fraction], which
+   the validator ignores. It must keep validating as it stands. *)
+let test_committed_bench_artifact () =
+  let text = In_channel.with_open_bin "../BENCH_mcpool.json" In_channel.input_all in
+  match Cpool_util.Json.parse text with
+  | Error e -> Alcotest.fail ("BENCH_mcpool.json does not parse: " ^ e)
+  | Ok doc -> (
+    match Cpool_mc.Mc_bench.validate_json doc with
+    | Ok n -> Alcotest.(check int) "cells" 64 n
+    | Error e -> Alcotest.fail ("validator rejected BENCH_mcpool.json: " ^ e))
+
+(* One tiny grid with a topology: a plain cell, then the topology-aware
+   cell and its distance-oblivious twin. *)
+let topology_grid () =
+  let config =
+    {
+      Cpool_mc.Mc_bench.default with
+      kinds = [ Mc_pool.Linear ];
+      domain_counts = [ 2 ];
+      workloads = [ { Cpool_intf.Workload.sparse with duration_s = 0.02 } ];
+      topo_of = Some (fun nodes -> Ok (Cpool_topology.two_group ~nodes ()));
+    }
+  in
+  (config, Cpool_mc.Mc_bench.run config)
+
+let test_mc_bench_topology_twins () =
+  let config, results = topology_grid () in
+  let cells = List.map (fun r -> r.Cpool_mc.Mc_bench.cell) results in
+  Alcotest.(check (list (pair bool bool)))
+    "plain, aware, oblivious" [ (false, true); (true, true); (true, false) ]
+    (List.map (fun c -> (c.Cpool_mc.Mc_bench.topo <> None, c.aware)) cells);
+  match Cpool_mc.Mc_bench.(validate_json (to_json config results)) with
+  | Ok n -> Alcotest.(check int) "validated cells" 3 n
+  | Error e -> Alcotest.fail ("validator rejected the topology grid: " ^ e)
+
+let test_mc_bench_rejects_locality_split () =
+  (* Every steal of a topology cell is near or far: a cell whose split
+     does not add up to its steal count is self-contradictory. *)
+  let config, results = topology_grid () in
+  let broken =
+    List.map
+      (fun r ->
+        if r.Cpool_mc.Mc_bench.cell.topo = None then r
+        else { r with near_steals = r.near_steals + 1 })
+      results
+  in
+  match Cpool_mc.Mc_bench.(validate_json (to_json config broken)) with
+  | Error e ->
+    Alcotest.(check bool) "error names the first topology cell" true
+      (String.starts_with ~prefix:"cell 1: " e)
+  | Ok _ -> Alcotest.fail "validator accepted near + far <> steals"
 
 let suites =
   main_suites
@@ -1045,16 +1177,23 @@ let suites =
         Alcotest.test_case "removed elements collectable" `Quick
           test_segment_ring_releases_removed;
         Alcotest.test_case "float elements round-trip" `Quick test_segment_float_elements;
-        Alcotest.test_case "fast-path counters" `Quick test_segment_fast_path_stats;
-        Alcotest.test_case "all-mutex baseline mode" `Quick test_segment_baseline_mode;
+        Alcotest.test_case "fast-path counters" `Quick test_segment_ring_op_stats;
+        Alcotest.test_case "pool counters keep the benchmark's labels" `Quick
+          test_pool_counter_labels;
         Alcotest.test_case "batched-steal stats" `Quick test_segment_steal_batch_stats;
         Alcotest.test_case "concurrent steal loot disjoint" `Quick
           test_segment_concurrent_steal_disjoint;
         Alcotest.test_case "mpsc drain completeness + FIFO" `Quick
           test_segment_mpsc_drain_completeness;
         Alcotest.test_case "mc_bench smoke + JSON artifact" `Quick test_mc_bench_smoke;
-      ]
-      @ per_kind "baseline conservation under domains" test_pool_fast_path_off_equivalent );
+        Alcotest.test_case "batched pushes counted" `Quick test_segment_batch_push_stats;
+        Alcotest.test_case "committed BENCH_mcpool.json validates" `Quick
+          test_committed_bench_artifact;
+        Alcotest.test_case "topology cells run aware and oblivious" `Quick
+          test_mc_bench_topology_twins;
+        Alcotest.test_case "json-check rejects a broken locality split" `Quick
+          test_mc_bench_rejects_locality_split;
+      ] );
     ( "mcpool.lifecycle",
       [
         Alcotest.test_case "deregister releases slot" `Quick test_deregister_releases_slot;

@@ -193,8 +193,18 @@ let prop_conservation_all_kinds =
 let per_kind name f =
   List.map
     (fun kind ->
-      Alcotest.test_case (Printf.sprintf "%s (%s)" name (Pool.kind_to_string kind)) `Quick (f kind))
+      Alcotest.test_case (Printf.sprintf "%s (%s)" name (Cpool_intf.to_string kind)) `Quick (f kind))
     Pool.all_kinds
+
+(* The simulator experiments iterate [Pool.all_kinds] and label rows with
+   [Cpool_intf.to_string]; they rely on it being the paper's three
+   algorithms, without the [Hinted] extension that [Cpool_intf.all] adds. *)
+let test_all_kinds_are_the_papers () =
+  Alcotest.(check (list string))
+    "paper kinds" [ "linear"; "random"; "tree" ]
+    (List.map Cpool_intf.to_string Pool.all_kinds);
+  Alcotest.(check bool) "a prefix of Cpool_intf.all" true
+    (List.filteri (fun i _ -> i < 3) Cpool_intf.all = Pool.all_kinds)
 
 let suites =
   [
@@ -213,5 +223,9 @@ let suites =
       @ per_kind "conservation" test_conservation
       @ per_kind "sparse mix steals" test_sparse_mix_steals
       @ per_kind "drain aborts cleanly" test_all_consumers_abort_cleanly
-      @ [ QCheck_alcotest.to_alcotest prop_conservation_all_kinds ] );
+      @ [
+          QCheck_alcotest.to_alcotest prop_conservation_all_kinds;
+          Alcotest.test_case "all_kinds is the paper's three" `Quick
+            test_all_kinds_are_the_papers;
+        ] );
   ]

@@ -27,6 +27,15 @@ let with_scheduler mk f =
     Mc_task.shutdown t;
     raise e
 
+(* A worker counts a task processed only after the task has published
+   its future, so an awaiter can see the value before the count moves.
+   [processed = forked] is exact once {!Mc_task.shutdown} has joined the
+   workers (shutdown is idempotent, so [with_scheduler]'s own call after
+   this one is a no-op). *)
+let check_conservation t =
+  Mc_task.shutdown t;
+  Alcotest.(check int) "conservation" (Mc_task.forked t) (Mc_task.processed t)
+
 (* --- futures ----------------------------------------------------------- *)
 
 let test_fork_await () =
@@ -82,14 +91,13 @@ let test_nested_fork_join kind () =
   with_scheduler (fun () -> pool_scheduler kind ~domains:2)
     (fun t ->
       Alcotest.(check int) "fib 15" 610 (Mc_task.await (Mc_task.fork t (fun () -> fib t 15)));
-      Alcotest.(check int)
-        "conservation" (Mc_task.forked t) (Mc_task.processed t))
+      check_conservation t)
 
 let test_stack_backend_equivalent () =
   with_scheduler (fun () -> Mc_task.lock_stack ~workers:2)
     (fun t ->
       Alcotest.(check int) "fib 15" 610 (Mc_task.await (Mc_task.fork t (fun () -> fib t 15)));
-      Alcotest.(check int) "conservation" (Mc_task.forked t) (Mc_task.processed t);
+      check_conservation t;
       Alcotest.(check int) "no steals on a stack" 0 (Mc_task.steals t);
       Alcotest.(check string) "label" "stack" (Mc_task.label t))
 
@@ -170,8 +178,7 @@ let test_minimax_exact kind () =
             (Printf.sprintf "plies=%d domains=%d" plies domains)
             expected
             (Mc_search.minimax_value t ~fork_plies:1 ~plies Board.empty);
-          Alcotest.(check int)
-            "conservation" (Mc_task.forked t) (Mc_task.processed t)))
+          check_conservation t))
     [ 1; 2; 4 ]
 
 let test_minimax_stack_exact () =

@@ -271,7 +271,7 @@ let test_phases_single_equals_run_shape () =
 let per_kind name f =
   List.map
     (fun kind ->
-      Alcotest.test_case (Printf.sprintf "%s (%s)" name (Pool.kind_to_string kind)) `Quick
+      Alcotest.test_case (Printf.sprintf "%s (%s)" name (Cpool_intf.to_string kind)) `Quick
         (fun () -> f kind))
     Pool.all_kinds
 
