@@ -3,8 +3,9 @@
 
    Ownership discipline (enforced by Mc_pool, assumed by the segment): one
    fiber per segment plays the OWNER and is the only caller of
-   add/try_add/try_remove/deposit/reserve/refill on it; every other fiber
-   reaches that segment only through spill_add and steal_half. The
+   add/try_add/try_remove/reserve on it, and the only one that transfers
+   into it (steal_into ~into); every other fiber reaches that segment only
+   through spill_add, steal_half and steal_into with it as the victim. The
    scenarios below respect this, because that is the protocol whose
    interleavings we must certify. *)
 module M = Cpool_mc.Mc_segment_core.Make (Sched.Prim)
@@ -69,13 +70,26 @@ let l_steal h f seg s max_take =
 let l_reserve h f seg s k =
   Linz.record h ~fiber:f ~seg (Linz.Reserve k) (fun () -> M.reserve s k)
 
-let l_refill h f seg s reserved xs =
-  Linz.record h ~fiber:f ~seg
-    (Linz.Refill (reserved, xs))
-    (fun () -> M.refill s ~reserved xs)
+(* A ring-to-ring steal from [victim] (segment [seg]) into the fiber's own
+   segment [into] (id [into_id]), recorded as one two-segment call. *)
+let l_transfer h f seg victim ~into_id ~into reserved =
+  Linz.record h ~fiber:f ~seg (Linz.Transfer (into_id, reserved)) (fun () ->
+      match M.steal_into ?reserved victim ~into with
+      | Cpool_mc.Mc_segment_core.Missed -> None
+      | Took (x, w) -> Some (x, w))
 
-let l_deposit h f seg s xs =
-  Linz.record h ~fiber:f ~seg (Linz.Deposit xs) (fun () -> M.deposit s xs)
+(* Quiescent only: everything left in [segs], taken with the owner's pop
+   (direct calls, not recorded for [Linz]). *)
+let drain_all segs =
+  let rec drain s acc = match M.try_remove s with Some x -> drain s (x :: acc) | None -> acc in
+  List.fold_left (fun acc s -> drain s acc) [] segs
+
+(* Element identity: [got] is exactly the multiset [want]. *)
+let same_elements name got want =
+  let got = List.sort compare got in
+  if got <> List.sort compare want then
+    failf name "elements lost or duplicated: [%s]"
+      (String.concat ";" (List.map string_of_int got))
 
 (* The owner's try_add racing a foreign spill_add on a capacity-2 segment:
    the CAS capacity claims must admit exactly as many elements as fit, at
@@ -103,27 +117,21 @@ let try_add_capacity () =
         Linz.check h);
   }
 
-(* A thief (steal_half + deposit into its own segment, the unbounded pool
-   path) races the victim's owner pushing: no element is lost or
-   duplicated. *)
+(* A thief (steal_into its own segment, the unbounded pool path) races the
+   victim's owner pushing: no element is lost or duplicated. *)
 let steal_vs_add () =
-  let name = "steal_half vs add conservation" in
+  let name = "steal_into vs add conservation" in
   let h = Linz.create () in
   Linz.declare_seg h ~id:0 ~capacity:None;
   Linz.declare_seg h ~id:1 ~capacity:None;
   let victim = M.make ~id:0 () in
   let own = M.make ~id:1 () in
   List.iter (l_add h (-1) 0 victim) [ 1; 2; 3 ];
-  let returned = ref 0 in
+  let returned = ref [] in
   let thief () =
-    match l_steal h 0 0 victim None with
-    | [] -> ()
-    | [ _ ] -> returned := 1
-    | _ :: rest -> (
-      returned := 1;
-      match l_deposit h 0 1 own rest with
-      | [] -> ()
-      | _ :: _ -> failf name "unbounded deposit rejected elements")
+    match l_transfer h 0 0 victim ~into_id:1 ~into:own None with
+    | None -> ()
+    | Some (x, _) -> returned := [ x ]
   in
   let adder () = l_add h 1 0 victim 4 in
   {
@@ -133,16 +141,18 @@ let steal_vs_add () =
       (fun () ->
         quiescent name victim;
         quiescent name own;
-        let total = stored victim + stored own + !returned in
+        let total = stored victim + stored own + List.length !returned in
         if total <> 4 then failf name "conservation broken: %d elements of 4" total;
-        Linz.check h);
+        Linz.check h;
+        same_elements name (!returned @ drain_all [ victim; own ]) [ 1; 2; 3; 4 ]);
   }
 
-(* The bounded steal path (reserve room, steal at most that, refill) racing
-   a foreign spill_add into the thief's segment: the reservation must keep
-   the bound intact at every instant and release exactly on refill. *)
-let reserve_refill_race () =
-  let name = "reserve/refill vs spill_add" in
+(* The bounded steal path (reserve room, steal_into at most that, release
+   the rest) racing a foreign spill_add into the thief's segment: the
+   reservation must keep the bound intact at every instant and be released
+   exactly by the transfer. *)
+let reserve_transfer_race () =
+  let name = "reserve/steal_into vs spill_add" in
   let h = Linz.create () in
   Linz.declare_seg h ~id:0 ~capacity:(Some 4);
   Linz.declare_seg h ~id:1 ~capacity:(Some 2);
@@ -150,22 +160,17 @@ let reserve_refill_race () =
   let own = M.make ~capacity:2 ~id:1 () in
   List.iter (fun x -> assert (l_try_add h (-1) 0 victim x)) [ 1; 2; 3 ];
   assert (l_try_add h (-1) 1 own 10);
-  let returned = ref 0 in
-  let rival_ok = ref 0 in
+  let returned = ref [] in
+  let rival_ok = ref [] in
   let thief () =
     (* Mirrors Mc_pool.attempt_steal's bounded branch. *)
     let want = (M.size victim + 1) / 2 in
     let reserved = l_reserve h 0 1 own (max 0 (want - 1)) in
-    match l_steal h 0 0 victim (Some (reserved + 1)) with
-    | [] -> l_refill h 0 1 own reserved []
-    | [ _ ] ->
-      l_refill h 0 1 own reserved [];
-      returned := 1
-    | _ :: rest ->
-      l_refill h 0 1 own reserved rest;
-      returned := 1
+    match l_transfer h 0 0 victim ~into_id:1 ~into:own (Some reserved) with
+    | None -> ()
+    | Some (x, _) -> returned := [ x ]
   in
-  let rival () = if l_spill h 1 1 own 11 then rival_ok := 1 in
+  let rival () = if l_spill h 1 1 own 11 then rival_ok := [ 11 ] in
   {
     Sched.threads = [ thief; rival ];
     check_step = all_of [ bound_ok name victim; bound_ok name own ];
@@ -173,10 +178,13 @@ let reserve_refill_race () =
       (fun () ->
         quiescent name victim;
         quiescent name own;
-        let total = stored victim + stored own + !returned in
-        if total <> 4 + !rival_ok then
-          failf name "conservation broken: %d elements of %d" total (4 + !rival_ok);
-        Linz.check h);
+        let total = stored victim + stored own + List.length !returned in
+        let want = 4 + List.length !rival_ok in
+        if total <> want then failf name "conservation broken: %d elements of %d" total want;
+        Linz.check h;
+        same_elements name
+          (!returned @ drain_all [ victim; own ])
+          ([ 1; 2; 3; 10 ] @ !rival_ok));
   }
 
 (* Three threads on one segment: the owner popping, a foreign spill_add,
@@ -240,13 +248,7 @@ let steal_vs_steal () =
           failf name "loot not disjoint: [%s] vs [%s]"
             (String.concat ";" (List.map string_of_int loots.(0)))
             (String.concat ";" (List.map string_of_int loots.(1)));
-        let rec drain acc =
-          match M.try_remove seg with Some x -> drain (x :: acc) | None -> acc
-        in
-        let all = List.sort compare (loots.(0) @ loots.(1) @ drain []) in
-        if all <> [ 1; 2; 3; 4 ] then
-          failf name "elements lost or duplicated: [%s]"
-            (String.concat ";" (List.map string_of_int all));
+        same_elements name (loots.(0) @ loots.(1) @ drain_all [ seg ]) [ 1; 2; 3; 4 ];
         Linz.check h);
   }
 
@@ -312,15 +314,7 @@ let mpsc_push_vs_drain () =
         (* The inbox held an element before the run, so the owner's pop
            must drain and succeed regardless of the schedule. *)
         if !popped = [] then failf name "owner pop lost the drained elements";
-        let rec drain acc =
-          match M.try_remove seg with Some x -> drain (x :: acc) | None -> acc
-        in
-        let all = List.sort compare (!popped @ drain []) in
-        let expect = List.init !spilled (fun i -> i + 1) in
-        if all <> expect then
-          failf name "elements lost or duplicated: [%s] of %d spills"
-            (String.concat ";" (List.map string_of_int all))
-            !spilled;
+        same_elements name (!popped @ drain_all [ seg ]) (List.init !spilled (fun i -> i + 1));
         Linz.check h);
   }
 
@@ -346,44 +340,32 @@ let pop_vs_steal () =
     check_final =
       (fun () ->
         quiescent name seg;
-        (* Drain what's left (quiescent, so direct calls are fine) and check
-           the multiset: every element accounted for exactly once. *)
-        let rec drain acc =
-          match M.try_remove seg with Some x -> drain (x :: acc) | None -> acc
-        in
-        let all = List.sort compare (!popped @ !stolen @ drain []) in
-        if all <> [ 1; 2; 3 ] then
-          failf name "elements lost or duplicated: [%s]"
-            (String.concat ";" (List.map string_of_int all));
+        (* Every element accounted for exactly once. *)
+        same_elements name (!popped @ !stolen @ drain_all [ seg ]) [ 1; 2; 3 ];
         Linz.check h);
   }
 
 (* An owner push racing the full bounded banking dance on two segments: the
    victim's owner pushes while a thief reserves room in its own bounded
-   segment, steals a batch from the victim, and refills. Both bounds must
+   segment and transfers a batch from the victim into it. Both bounds must
    hold at every step and every element must survive. *)
 let push_vs_reserve () =
-  let name = "owner push vs bounded reserve/steal/refill" in
+  let name = "owner push vs bounded reserve/steal_into" in
   let h = Linz.create () in
   Linz.declare_seg h ~id:0 ~capacity:(Some 3);
   Linz.declare_seg h ~id:1 ~capacity:(Some 2);
   let victim = M.make ~capacity:3 ~id:0 () in
   let own = M.make ~capacity:2 ~id:1 () in
   List.iter (fun x -> assert (l_try_add h (-1) 0 victim x)) [ 1; 2 ];
-  let pushed = ref 0 in
-  let returned = ref 0 in
-  let owner () = if l_try_add h 0 0 victim 3 then pushed := 1 in
+  let pushed = ref [] in
+  let returned = ref [] in
+  let owner () = if l_try_add h 0 0 victim 3 then pushed := [ 3 ] in
   let thief () =
     let want = (M.size victim + 1) / 2 in
     let reserved = l_reserve h 1 1 own (max 0 (want - 1)) in
-    match l_steal h 1 0 victim (Some (reserved + 1)) with
-    | [] -> l_refill h 1 1 own reserved []
-    | [ _ ] ->
-      l_refill h 1 1 own reserved [];
-      returned := 1
-    | _ :: rest ->
-      l_refill h 1 1 own reserved rest;
-      returned := 1
+    match l_transfer h 1 0 victim ~into_id:1 ~into:own (Some reserved) with
+    | None -> ()
+    | Some (x, _) -> returned := [ x ]
   in
   {
     Sched.threads = [ owner; thief ];
@@ -392,10 +374,11 @@ let push_vs_reserve () =
       (fun () ->
         quiescent name victim;
         quiescent name own;
-        let total = stored victim + stored own + !returned in
-        if total <> 2 + !pushed then
-          failf name "conservation broken: %d elements of %d" total (2 + !pushed);
-        Linz.check h);
+        let total = stored victim + stored own + List.length !returned in
+        let want = 2 + List.length !pushed in
+        if total <> want then failf name "conservation broken: %d elements of %d" total want;
+        Linz.check h;
+        same_elements name (!returned @ drain_all [ victim; own ]) ([ 1; 2 ] @ !pushed));
   }
 
 (* The hinted hand-off's core race: a searcher publishing its hint and
@@ -558,16 +541,9 @@ let three_stealers () =
             [ (0, 1); (0, 2); (1, 2) ]
         in
         if not pairwise_disjoint then failf name "stealer loot not disjoint";
-        let rec drain acc =
-          match M.try_remove seg with Some x -> drain (x :: acc) | None -> acc
-        in
-        let all =
-          List.sort compare
-            (!popped @ loots.(0) @ loots.(1) @ loots.(2) @ drain [])
-        in
-        if all <> [ 1; 2; 3; 4 ] then
-          failf name "elements lost or duplicated: [%s]"
-            (String.concat ";" (List.map string_of_int all));
+        same_elements name
+          (!popped @ loots.(0) @ loots.(1) @ loots.(2) @ drain_all [ seg ])
+          [ 1; 2; 3; 4 ];
         Linz.check h);
   }
 
@@ -663,14 +639,7 @@ let spill_spill_drain () =
       (fun () ->
         quiescent name seg;
         if !popped = [] then failf name "owner pop lost the drained elements";
-        let rec drain acc =
-          match M.try_remove seg with Some x -> drain (x :: acc) | None -> acc
-        in
-        let all = List.sort compare (!popped @ drain []) in
-        if all <> List.sort compare !spilled then
-          failf name "elements lost or duplicated: [%s] of %d spills"
-            (String.concat ";" (List.map string_of_int all))
-            (List.length !spilled);
+        same_elements name (!popped @ drain_all [ seg ]) !spilled;
         Linz.check h);
   }
 
@@ -690,26 +659,21 @@ let near_steal_vs_pop () =
   Linz.declare_seg h ~id:1 ~capacity:None;
   let segs = [| M.make ~id:0 (); M.make ~id:1 () |] in
   List.iter (l_add h (-1) 0 segs.(0)) [ 1; 2; 3 ];
-  let popped = ref 0 in
-  let returned = ref 0 in
+  let popped = ref [] in
+  let returned = ref [] in
   let thief () =
     (* Walks the near-first order like Mc_pool.search_pass: skip the own
-       slot, steal from the first non-empty victim, bank the remainder. *)
+       slot, transfer from the first non-empty victim into the own one. *)
     Array.iter
       (fun v ->
-        if v <> 1 && !returned = 0 then
-          match l_steal h 0 v segs.(v) None with
-          | [] -> ()
-          | [ _ ] -> returned := 1
-          | _ :: rest -> (
-            returned := 1;
-            match l_deposit h 0 1 segs.(1) rest with
-            | [] -> ()
-            | _ :: _ -> failf name "unbounded deposit rejected elements"))
+        if v <> 1 && !returned = [] then
+          match l_transfer h 0 v segs.(v) ~into_id:1 ~into:segs.(1) None with
+          | None -> ()
+          | Some (x, _) -> returned := [ x ])
       order
   in
   let owner () =
-    match l_remove h 1 0 segs.(0) with Some _ -> popped := 1 | None -> ()
+    match l_remove h 1 0 segs.(0) with Some x -> popped := [ x ] | None -> ()
   in
   {
     Sched.threads = [ thief; owner ];
@@ -719,18 +683,95 @@ let near_steal_vs_pop () =
         quiescent name segs.(0);
         quiescent name segs.(1);
         if order <> [| 1; 0 |] then failf name "near-first order from slot 1 must be [1;0]";
-        (* steal_half of 3 takes at most 2, so the owner always finds one. *)
-        if !popped <> 1 then failf name "owner pop found its own segment empty";
-        let total = stored segs.(0) + stored segs.(1) + !returned + !popped in
+        (* A transfer of 3 takes at most 2, so the owner always finds one. *)
+        if !popped = [] then failf name "owner pop found its own segment empty";
+        let total =
+          stored segs.(0) + stored segs.(1) + List.length !returned + List.length !popped
+        in
         if total <> 3 then failf name "conservation broken: %d elements of 3" total;
-        Linz.check h);
+        Linz.check h;
+        same_elements name
+          (!returned @ !popped @ drain_all [ segs.(0); segs.(1) ])
+          [ 1; 2; 3 ]);
+  }
+
+(* The one race the ring-to-ring transfer adds: the thief stores the
+   stolen tail past its own [bottom] while a rival steal_half copies from
+   that same ring, and the victim's owner pushes meanwhile. The rival's
+   copy may only ever see published slots, the thief's stores must stay
+   inside its room check, and every element must come out exactly once. *)
+let transfer_thief_steal () =
+  let name = "steal_into vs add vs steal_half on the thief" in
+  let h = Linz.create () in
+  Linz.declare_seg h ~id:0 ~capacity:None;
+  Linz.declare_seg h ~id:1 ~capacity:None;
+  let victim = M.make ~id:0 () in
+  let own = M.make ~id:1 () in
+  List.iter (l_add h (-1) 0 victim) [ 1; 2; 3; 4 ];
+  List.iter (l_add h (-1) 1 own) [ 10; 11 ];
+  let returned = ref [] in
+  let loot = ref [] in
+  let thief () =
+    match l_transfer h 0 0 victim ~into_id:1 ~into:own None with
+    | None -> ()
+    | Some (x, _) -> returned := [ x ]
+  in
+  let adder () = l_add h 1 0 victim 5 in
+  let rival () = loot := l_steal h 2 1 own None in
+  {
+    Sched.threads = [ thief; adder; rival ];
+    check_step = all_of [ bound_ok name victim; bound_ok name own ];
+    check_final =
+      (fun () ->
+        quiescent name victim;
+        quiescent name own;
+        if !returned = [] then failf name "the transfer found the victim empty";
+        Linz.check h;
+        same_elements name
+          (!returned @ !loot @ drain_all [ victim; own ])
+          [ 1; 2; 3; 4; 5; 10; 11 ]);
+  }
+
+(* Two thieves transferring from one victim while its owner pops: their
+   top CASes contend, so a loser must discard its copy — including the
+   slots it already stored past its own [bottom], which [quiescent]'s
+   [invariant_ok] checks are empty again — and retry on a smaller window. *)
+let two_thieves_transfer () =
+  let name = "2 steal_into thieves vs owner pop" in
+  let h = Linz.create () in
+  List.iter (fun id -> Linz.declare_seg h ~id ~capacity:None) [ 0; 1; 2 ];
+  let victim = M.make ~id:0 () in
+  let own = [| M.make ~id:1 (); M.make ~id:2 () |] in
+  List.iter (l_add h (-1) 0 victim) [ 1; 2; 3; 4 ];
+  let popped = ref [] in
+  let returned = Array.make 2 [] in
+  let owner () =
+    match l_remove h 0 0 victim with Some x -> popped := [ x ] | None -> ()
+  in
+  let thief i () =
+    match l_transfer h (i + 1) 0 victim ~into_id:(i + 1) ~into:own.(i) None with
+    | None -> ()
+    | Some (x, _) -> returned.(i) <- [ x ]
+  in
+  {
+    Sched.threads = [ owner; thief 0; thief 1 ];
+    check_step = all_of [ bound_ok name victim; bound_ok name own.(0); bound_ok name own.(1) ];
+    check_final =
+      (fun () ->
+        quiescent name victim;
+        quiescent name own.(0);
+        quiescent name own.(1);
+        Linz.check h;
+        same_elements name
+          (!popped @ returned.(0) @ returned.(1) @ drain_all [ victim; own.(0); own.(1) ])
+          [ 1; 2; 3; 4 ]);
   }
 
 let scenarios =
   [
     { name = "try-add-capacity"; instance = try_add_capacity };
     { name = "steal-vs-add"; instance = steal_vs_add };
-    { name = "reserve-refill"; instance = reserve_refill_race };
+    { name = "reserve-transfer"; instance = reserve_transfer_race };
     { name = "three-way"; instance = three_way };
     { name = "pop-vs-steal"; instance = pop_vs_steal };
     { name = "steal-vs-steal"; instance = steal_vs_steal };
@@ -743,6 +784,8 @@ let scenarios =
     { name = "hint-three-way"; instance = hint_three_way };
     { name = "spill-spill-drain"; instance = spill_spill_drain };
     { name = "near-steal-vs-pop"; instance = near_steal_vs_pop };
+    { name = "transfer-thief-steal"; instance = transfer_thief_steal };
+    { name = "two-thieves-transfer"; instance = two_thieves_transfer };
   ]
 
 let count = List.length scenarios
@@ -752,7 +795,7 @@ let run_all ppf =
     (fun sc ->
       match Sched.explore sc.instance with
       | n ->
-        Format.fprintf ppf "interleave: %-18s %6d schedules, all invariants hold@."
+        Format.fprintf ppf "interleave: %-20s %6d schedules, all invariants hold@."
           sc.name n;
         (sc.name, n)
       | exception e ->
@@ -817,7 +860,7 @@ let cross_validate ppf =
       Format.fprintf ppf
         "cross-validate: %-16s verdicts agree (exhaustive %d, dpor %d)@." n ex
         dp)
-    [ "reserve-refill"; "pop-vs-steal-one"; "steal-vs-steal" ];
+    [ "reserve-transfer"; "pop-vs-steal-one"; "steal-vs-steal" ];
   let fails mode =
     match Sched.explore ~mode lost_update_instance with
     | _ -> false

@@ -2,13 +2,15 @@
 
     Each scenario builds a fresh segment (or victim/thief group), runs 2–4
     fibers of real [Mc_segment_core] operations — owner push/pop, foreign
-    spill_add, steal-window claim, reserve, refill — under {!Sched.explore}
+    spill_add, steal-window claim, reserve, ring-to-ring transfer
+    ([steal_into]) — under {!Sched.explore}
     (DPOR mode), respecting the ownership discipline [Mc_pool] enforces
     (one owner fiber per segment), and asserts:
     - {b capacity}: the atomic count never exceeds the bound, at {e every}
       primitive step of {e every} schedule (reservations included);
-    - {b conservation}: once quiescent, no element was lost or duplicated
-      and no reservation leaked ([count = stored]);
+    - {b conservation}: once quiescent, no element was lost or duplicated,
+      no reservation leaked ([count = stored]) and no ring slot outside
+      the segment's live and to-be-scrubbed range holds an element;
     - {b linearizability}: the recorded invocation/response history of the
       schedule has a witness order against the sequential multiset-pool
       spec ({!Linz}) — which catches consistency bugs (a stale failure, a
@@ -21,11 +23,12 @@
     overfilling a bounded segment) and the lock-free ring protocol's
     characteristic races (owner pop vs steal claim; owner push vs bounded
     reservation), checked exhaustively-up-to-commutation rather than
-    stochastically. Four scenarios (the owner's pop against a spill and
+    stochastically. Six scenarios (the owner's pop against a spill and
     an inbox steal; three stealers on one ring; the three-way hint life
-    cycle; dual spillers against the inbox drain) are enumerable {e only}
-    with the reduction — their exhaustive schedule spaces exceed the
-    explorer's bound. *)
+    cycle; dual spillers against the inbox drain; a transfer racing an
+    add and a steal from the thief's own ring; two transferring thieves
+    against the owner's pop) are enumerable {e only} with the reduction —
+    their exhaustive schedule spaces exceed the explorer's bound. *)
 
 type scenario = { name : string; instance : unit -> Sched.instance }
 

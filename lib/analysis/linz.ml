@@ -20,8 +20,7 @@ type _ call =
   | Remove : int option call
   | Steal : int list call
   | Reserve : int -> int call
-  | Refill : (int * int list) -> unit call
-  | Deposit : int list -> int list call
+  | Transfer : (int * int option) -> (int * int) option call
 
 type event =
   | Ev : {
@@ -63,7 +62,7 @@ let record (type r) t ~fiber ~seg (call : r call) (f : unit -> r) : r =
 (* ---- the sequential specification ---------------------------------- *)
 
 (* A segment is a bounded multiset plus a reservation count: [Reserve]
-   grants room in advance, [Refill] returns it, and occupancy (size +
+   grants room in advance, [Transfer] consumes it, and occupancy (size +
    outstanding reservations) never exceeds the capacity. *)
 type seg_state = { bag : int list (* sorted *); resv : int; cap : int }
 
@@ -87,62 +86,75 @@ let remove_all xs bag =
     (fun acc x -> Option.bind acc (remove1 x))
     (Some bag) xs
 
+(* Every way to pick [k] elements of the sorted [bag]: [(picked, rest)]
+   pairs, both sorted. *)
+let rec choose k bag =
+  if k = 0 then [ ([], bag) ]
+  else
+    match bag with
+    | [] -> []
+    | y :: rest ->
+      List.map (fun (p, r) -> (y :: p, r)) (choose (k - 1) rest)
+      @ List.map (fun (p, r) -> (p, y :: r)) (choose k rest)
+
 let size s = List.length s.bag
 
 let room s = s.cap - size s - s.resv
 
-(* [apply s call result] is [Some s'] iff the spec, in state [s], can
-   respond [result] to [call] (yielding [s']). *)
-let apply (type r) (s : seg_state) (call : r call) (result : r) :
-    seg_state option =
+let set id s' states =
+  List.map (fun (i, s) -> if i = id then (i, s') else (i, s)) states
+
+let insert_all xs s =
+  { s with bag = List.fold_left (fun b x -> sorted_insert x b) s.bag xs }
+
+(* [step states seg call result] lists every spec state (all segments)
+   reachable by answering [result] to [call] on segment [seg]: none when
+   the spec cannot produce [result]. Only [Transfer] can reach more than
+   one, because which elements it banked is not part of its result. *)
+let step (type r) states seg (call : r call) (result : r) =
+  let s = List.assoc seg states in
+  let only_if ok s' = if ok then [ set seg s' states ] else [] in
+  let take xs =
+    match remove_all xs s.bag with Some bag -> [ set seg { s with bag } states ] | None -> []
+  in
+  (* An add that reports success needs room; one that reports failure
+     needs none to be left. *)
+  let bounded_add x ok =
+    if ok then only_if (room s > 0) (insert_all [ x ] s) else only_if (room s <= 0) s
+  in
   match call with
-  | Add x -> Some { s with bag = sorted_insert x s.bag }
-  | Try_add x ->
-    if result then
-      if room s > 0 then Some { s with bag = sorted_insert x s.bag } else None
-    else if room s <= 0 then Some s
-    else None
-  | Spill x ->
-    if result then
-      if room s > 0 then Some { s with bag = sorted_insert x s.bag } else None
-    else if room s <= 0 then Some s
-    else None
-  | Remove -> (
-    match result with
-    | Some x ->
-      Option.map (fun bag -> { s with bag }) (remove_all [ x ] s.bag)
-    | None -> if s.bag = [] then Some s else None)
+  | Add x -> only_if true (insert_all [ x ] s)
+  | Try_add x -> bounded_add x result
+  | Spill x -> bounded_add x result
+  | Remove -> (match result with Some x -> take [ x ] | None -> only_if (s.bag = []) s)
   | Steal ->
     (* An empty steal is always legal: the shipped steal_half probes the
        ring and then the inbox in two separate reads, so it can miss
        elements that were always present somewhere — a spurious failure
        the pool's callers must (and do) tolerate. A non-empty loot must
        come out of the bag. *)
-    if result = [] then Some s
-    else Option.map (fun bag -> { s with bag }) (remove_all result s.bag)
-  | Reserve k ->
-    if result = min k (max 0 (room s)) then
-      Some { s with resv = s.resv + result }
-    else None
-  | Refill (reserved, xs) ->
-    if reserved <= s.resv && List.length xs <= reserved then
-      Some
-        {
-          s with
-          resv = s.resv - reserved;
-          bag = List.fold_left (fun b x -> sorted_insert x b) s.bag xs;
-        }
-    else None
-  | Deposit xs ->
-    let accepted = List.filteri (fun i _ -> i < max 0 (room s)) xs
-    and rejected = List.filteri (fun i _ -> i >= max 0 (room s)) xs in
-    if result = rejected then
-      Some
-        {
-          s with
-          bag = List.fold_left (fun b x -> sorted_insert x b) s.bag accepted;
-        }
-    else None
+    if result = [] then only_if true s else take result
+  | Reserve k -> only_if (result = min k (max 0 (room s))) { s with resv = s.resv + result }
+  | Transfer (into, reserved) -> (
+    (* The same weakening for an empty transfer. Either way it hands back
+       the reservation it names, banked elements included. *)
+    let bank moved states =
+      let o = List.assoc into states in
+      match reserved with
+      | None -> [ set into (insert_all moved o) states ]
+      | Some r when r <= o.resv && List.length moved <= r ->
+        [ set into (insert_all moved { o with resv = o.resv - r }) states ]
+      | Some _ -> []
+    in
+    match result with
+    | None -> bank [] states
+    | Some (x, w) -> (
+      match remove_all [ x ] s.bag with
+      | Some rest when w >= 1 ->
+        List.concat_map
+          (fun (moved, left) -> bank moved (set seg { s with bag = left } states))
+          (choose (w - 1) rest)
+      | Some _ | None -> []))
 
 (* ---- pretty-printing (for failure reports) -------------------------- *)
 
@@ -158,8 +170,13 @@ let call_to_string (type r) (call : r call) (result : r) =
       (match result with Some x -> "Some " ^ string_of_int x | None -> "None")
   | Steal -> Printf.sprintf "steal_half -> %s" (ints result)
   | Reserve k -> Printf.sprintf "reserve %d -> %d" k result
-  | Refill (r, xs) -> Printf.sprintf "refill ~reserved:%d %s" r (ints xs)
-  | Deposit xs -> Printf.sprintf "deposit %s -> rejected %s" (ints xs) (ints result)
+  | Transfer (into, reserved) ->
+    Printf.sprintf "steal_into%s ~into:%d -> %s"
+      (match reserved with None -> "" | Some r -> Printf.sprintf " ~reserved:%d" r)
+      into
+      (match result with
+      | None -> "Missed"
+      | Some (x, w) -> Printf.sprintf "Took (%d, %d)" x w)
 
 let event_to_string (Ev e) =
   Printf.sprintf "  [%d,%d] fiber %d seg %d: %s" e.inv e.resp e.fiber e.seg
@@ -210,14 +227,9 @@ let check t =
            && ((mask land (1 lsl i) = 0)
                && minimal i
                && (let (Ev e) = events.(i) in
-                   match apply (List.assoc e.seg states) e.call e.result with
-                   | Some s' ->
-                     search
-                       (mask lor (1 lsl i))
-                       (List.map
-                          (fun (id, s) -> if id = e.seg then (id, s') else (id, s))
-                          states)
-                   | None -> false)
+                   List.exists
+                     (search (mask lor (1 lsl i)))
+                     (step states e.seg e.call e.result))
               || try_each (i + 1))
          in
          try_each 0

@@ -20,10 +20,11 @@
     [try_add] failing while the segment verifiably had room for its whole
     duration.
 
-    The one deliberate weakening: an empty steal is always legal, because
-    the shipped [steal_half] probes ring and inbox in two separate reads
-    and can therefore miss elements that were never absent simultaneously
-    — a spurious failure the pool's callers tolerate by design. *)
+    The one deliberate weakening: an empty steal (or transfer) is always
+    legal, because the shipped [steal_half] and [steal_into] probe ring and
+    inbox in two separate reads and can therefore miss elements that were
+    never absent simultaneously — a spurious failure the pool's callers
+    tolerate by design. *)
 
 type _ call =
   | Add : int -> unit call
@@ -32,10 +33,14 @@ type _ call =
   | Remove : int option call
   | Steal : int list call
   | Reserve : int -> int call
-  | Refill : (int * int list) -> unit call
-      (** reservation being returned, elements refilled under it *)
-  | Deposit : int list -> int list call
-      (** offered elements; the result is the rejected suffix *)
+  | Transfer : (int * int option) -> (int * int) option call
+      (** A ring-to-ring steal from the recorded segment (the victim) into
+          segment [into], consuming the reservation it names:
+          [(into, reserved)]. The result is the oldest element taken and
+          the number of elements claimed, or [None]. The spec lets the
+          [claimed - 1] banked elements be any elements of the victim's
+          bag other than the returned one: the scenarios' final drains
+          check element identity. *)
 
 type t
 

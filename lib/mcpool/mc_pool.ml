@@ -327,8 +327,8 @@ let claimed_count t =
 
 let registered t = Atomic.get t.registered
 
-(* The Hinted hand-off's add side: claim a parked searcher and deposit
-   straight into its segment's spill inbox, skipping our own segment. The
+(* The Hinted hand-off's add side: claim a parked searcher and push the
+   element straight into its segment's spill inbox, skipping our own. The
    cheap [waiters] read keeps the non-parked common case at one load; a
    claim against a full bounded segment aborts the delivery (the claim is
    still consumed — the searcher re-publishes on its next backoff round)
@@ -464,12 +464,12 @@ let record_steal t h pos ~elements =
   Mc_trace.record h.tracer Mc_trace.Steal_claim ~a1:pos ~a2:elements;
   h.hunt_probes <- 0
 
-(* Examine segment [pos]; on success bank the steal's remainder into our own
-   segment and return the element. On a bounded pool the room is reserved
-   before the steal, so the bank always fits and no segment ever exceeds its
-   capacity — the seed version sized the take from an unlocked [spare] read
-   and then deposited unconditionally, so two racing thieves (or a thief
-   racing spill-adds) could overfill a segment. *)
+(* Examine segment [pos]; on success the steal's remainder is already
+   banked in our own segment, moved there ring to ring, and the oldest
+   element is returned. On a bounded pool the room is reserved before the
+   steal, so the bank always fits and no segment ever exceeds its
+   capacity, even with racing thieves and spill-adds. [pos] may be our own
+   slot. *)
 let attempt_steal t h pos =
   let victim = t.segs.(pos) in
   h.hunt_probes <- h.hunt_probes + 1;
@@ -489,39 +489,21 @@ let attempt_steal t h pos =
   Mc_trace.record h.tracer Mc_trace.Steal_probe ~a1:pos ~a2:vsize;
   if vsize = 0 then None
   else
-    match t.bound with
-    | None -> (
-      match Mc_segment.steal_half victim with
-      | Cpool.Steal.Nothing -> None
-      | Cpool.Steal.Single x ->
-        record_steal t h pos ~elements:1;
-        Some x
-      | Cpool.Steal.Batch (x, rest) ->
-        (match Mc_segment.deposit t.segs.(h.pool_slot) rest with
-        | [] -> ()
-        | _ :: _ -> assert false (* unbounded deposit never rejects *));
-        let banked = List.length rest in
-        Mc_trace.record h.tracer Mc_trace.Steal_transfer ~a1:h.pool_slot ~a2:banked;
-        record_steal t h pos ~elements:(1 + banked);
-        Some x)
-    | Some _ ->
-      let own = t.segs.(h.pool_slot) in
-      let want = (Mc_segment.size victim + 1) / 2 in
-      let reserved = Mc_segment.reserve own (Int.max 0 (want - 1)) in
-      (match Mc_segment.steal_half ~max_take:(reserved + 1) victim with
-      | Cpool.Steal.Nothing ->
-        Mc_segment.refill own ~reserved [];
-        None
-      | Cpool.Steal.Single x ->
-        Mc_segment.refill own ~reserved [];
-        record_steal t h pos ~elements:1;
-        Some x
-      | Cpool.Steal.Batch (x, rest) ->
-        Mc_segment.refill own ~reserved rest;
-        let banked = List.length rest in
-        Mc_trace.record h.tracer Mc_trace.Steal_transfer ~a1:h.pool_slot ~a2:banked;
-        record_steal t h pos ~elements:(1 + banked);
-        Some x)
+    let own = t.segs.(h.pool_slot) in
+    let took =
+      match t.bound with
+      | None -> Mc_segment.steal_into victim ~into:own
+      | Some _ ->
+        let reserved = Mc_segment.reserve own (Int.max 0 (((vsize + 1) / 2) - 1)) in
+        Mc_segment.steal_into ~reserved victim ~into:own
+    in
+    match took with
+    | Mc_segment.Missed -> None
+    | Mc_segment.Took (x, elements) ->
+      if elements > 1 then
+        Mc_trace.record h.tracer Mc_trace.Steal_transfer ~a1:h.pool_slot ~a2:(elements - 1);
+      record_steal t h pos ~elements;
+      Some x
 
 (* One full deterministic pass over every segment; the confirmation step
    before reporting the pool empty. *)

@@ -10,10 +10,12 @@
     and the memory-ordering argument are documented in DESIGN.md §12.
 
     Ownership discipline: exactly one domain at a time may call the owner
-    operations ({!add}, {!try_add}, {!try_remove}, {!deposit}, {!reserve},
-    {!refill}) on a given segment — [Mc_pool] enforces this by routing them
-    through the registered handle of the segment's slot. Any domain may call
-    {!spill_add}, {!steal_half}, {!size}, {!spare} concurrently.
+    operations ({!add}, {!try_add}, {!try_remove}, {!reserve}) on a given
+    segment, and only that domain may pass it as the [~into] of
+    {!steal_into} — [Mc_pool] enforces this by routing them through the
+    registered handle of the segment's slot. Any domain may call
+    {!spill_add}, {!steal_half}, {!size}, {!spare} concurrently, and any
+    segment may be the victim of a {!steal_into}, the thief's own included.
 
     On a bounded segment the atomic count is the source of truth for
     capacity: it equals the stored element count (ring + inbox) plus any
@@ -71,27 +73,43 @@ val steal_half : ?max_take:int -> 'a t -> 'a Cpool.Steal.loot
     window — no lock, concurrent stealers race on the CAS and retry.
     [Single] / [Batch] / [Nothing] as the count dictates. When the ring is
     empty it lifts up to half the spill inbox instead, one CAS-pop per
-    cell. The caller deposits the remainder into its own segment
-    afterwards — victim and thief never serialize. Safe from any domain. *)
+    cell. The loot is a fresh list; a thief that keeps the remainder uses
+    {!steal_into} instead. Safe from any domain. *)
 
-val deposit : 'a t -> 'a list -> 'a list
-(** [deposit s xs] adds elements of [xs] with one batched publish, up to
-    the segment's remaining capacity, and returns the rejected overflow in
-    order (always [[]] when unbounded). Owner only. *)
+type 'a took = 'a Mc_segment_core.took = Missed | Took of 'a * int
+(** What {!steal_into} moved: the oldest element and the number of
+    elements claimed ([>= 1]), or nothing. *)
+
+val steal_into : ?reserved:int -> 'a t -> into:'a t -> 'a took
+(** [steal_into victim ~into] is the thief-side transfer: it claims the
+    oldest [w = ceil n/2] of the victim's [n] ring elements with the same
+    copy-then-CAS claim as {!steal_half}, but copies the window's tail slot
+    to slot into [into]'s ring past its bottom, publishes it there with one
+    atomic add (as a batched push), and returns [Took (oldest, w)]. No loot
+    list, no copy buffer: a call allocates only the returned block unless
+    [into]'s ring has to grow. A failed claim writes the slots it filled
+    back to empty before it retries. When the victim's ring is dry it lifts
+    up to half of the victim's spill inbox and pushes all but the oldest
+    into [into] in one batch. [Missed] when it found nothing.
+
+    [reserved] is room the caller already holds in [into] from {!reserve}:
+    the transfer then takes at most [reserved + 1] elements, banks the
+    tail under the reservation and releases whatever it did not use,
+    including when it takes nothing, so a bounded [into] never exceeds
+    its capacity. Without it the transfer raises [into]'s count itself
+    and, like {!add}, ignores any capacity.
+
+    [into] must be owned by the caller; [victim] may be any segment,
+    [into] itself included. Raises [Invalid_argument] if
+    [reserved < 0]. *)
 
 val reserve : 'a t -> int -> int
 (** [reserve s k] claims up to [k] units of spare capacity and returns the
     amount actually claimed (all of [k] when unbounded). Reserved units
-    count as occupied until the matching {!refill}. A thief reserves room
-    in its own segment {e before} stealing, so the banked remainder always
-    fits — capacity can never be exceeded, even transiently. Raises
-    [Invalid_argument] if [k < 0]. Owner only. *)
-
-val refill : 'a t -> reserved:int -> 'a list -> unit
-(** [refill s ~reserved xs] stores [xs] into previously reserved room with
-    one batched publish and releases the unused remainder of the
-    reservation. Raises [Invalid_argument] if [List.length xs > reserved].
-    Owner only. *)
+    count as occupied until a {!steal_into} [~reserved] consumes them. A
+    thief reserves room in its own segment {e before} stealing, so the
+    banked remainder always fits — capacity can never be exceeded, even
+    transiently. Raises [Invalid_argument] if [k < 0]. Owner only. *)
 
 val inbox_length : 'a t -> int
 (** [inbox_length s] is a racy snapshot of the spill-inbox length (walks
@@ -106,7 +124,9 @@ val stats : 'a t -> Mc_stats.t
 val invariant_ok : 'a t -> bool
 (** [invariant_ok s] checks that the atomic count matches the stored
     element count (ring + inbox), that the cursors satisfy
-    [scrub <= top <= bottom], and that the capacity is respected. Lock-free
+    [scrub <= top <= bottom], that the capacity is respected, and that
+    every ring slot outside [\[scrub, bottom)] is empty (no slot pins an
+    element the segment no longer holds or is about to clear). Lock-free
     and only meaningful at quiescence (no thread mid-operation, no
     outstanding reservations); the stress harness calls it after every
     run. *)

@@ -1,3 +1,5 @@
+type 'a took = Missed | Took of 'a * int
+
 module type SEG = sig
   type 'a t
 
@@ -11,9 +13,8 @@ module type SEG = sig
   val spare : 'a t -> int
   val try_remove : 'a t -> 'a option
   val steal_half : ?max_take:int -> 'a t -> 'a Cpool.Steal.loot
-  val deposit : 'a t -> 'a list -> 'a list
+  val steal_into : ?reserved:int -> 'a t -> into:'a t -> 'a took
   val reserve : 'a t -> int -> int
-  val refill : 'a t -> reserved:int -> 'a list -> unit
   val inbox_length : 'a t -> int
   val stats : 'a t -> Mc_stats.t
   val invariant_ok : 'a t -> bool
@@ -52,12 +53,15 @@ module Make (P : Mc_prim.S) = struct
        back.
      - ALL consumers — the owner's pop and every stealer — take from the
        FRONT by the same copy-then-claim protocol: read [t = top] and
-       [b = bottom], copy slots [t, t + w) into a private buffer, then
-       CAS [top : t -> t + w]. The CAS is the commit point; a failed CAS
-       discards the buffer and retries. Consequently owner pops are FIFO
-       (oldest first) — pools are unordered, so locality of the old LIFO
-       pop is traded for a protocol with one cursor CAS and no
-       claim/revalidate window.
+       [b = bottom], copy slots [t, t + w), then CAS [top : t -> t + w].
+       The copy goes into a private buffer, or — for a thief moving the
+       window into its own segment — past the bottom of the thief's own
+       ring, where only that thief (its owner) writes. The CAS is the
+       commit point; a failed CAS discards the copy (a thief writes its
+       unpublished slots back to [vacant]) and retries. Consequently owner
+       pops are FIFO (oldest first) — pools are unordered, so locality of
+       the old LIFO pop is traded for a protocol with one cursor CAS and
+       no claim/revalidate window.
      - FOREIGN ADDS (the pool's spill traffic) CAS-push onto [inbox], a
        Treiber stack of list cells. The owner drains it with a single
        [exchange] when its ring runs dry, reversing the batch so spill
@@ -84,9 +88,11 @@ module Make (P : Mc_prim.S) = struct
      array before publishing [bottom]).
 
      Space discipline: consumed slots keep their (dead) element reachable
-     until cleared. Stealers never write slots, so the owner lazily vacates
-     [scrub, top) during its own operations — skipping slots already
-     recycled for a newer index — mirroring [Vec.release_slot].
+     until cleared. Stealers never write a victim's slots, so the owner
+     lazily vacates [scrub, top) during its own operations — skipping
+     slots already recycled for a newer index — mirroring
+     [Vec.release_slot]. At quiescence every slot outside [scrub, bottom)
+     holds [vacant]; [invariant_ok] checks it.
 
      [count] is the logical size: ring elements + inbox elements +
      outstanding reservations. Increments happen before the element is
@@ -278,44 +284,91 @@ module Make (P : Mc_prim.S) = struct
       true
     end
 
-  (* Take up to [want] elements from the ring front with one CAS on [top].
-     Copy-then-claim: slots are read into a private [Obj.t] buffer FIRST;
-     the CAS is the commit point; a failed CAS discards the buffer (which
-     may hold garbage from a raced overwrite — see the overwrite note on
-     the type) and retries; only after success are the copies converted.
-     The ring snapshot comes AFTER the cursor reads so a concurrent swap
-     cannot hide indices of [t, b) from it ([bottom] is monotone). *)
-  let rec claim_ring : 'a. 'a t -> want:int -> halve:bool -> 'a list =
-    fun s ~want ~halve ->
-     let t = Atomic.get s.top in
-     let b = Atomic.get s.bottom in
-     let n = b - t in
-     if n <= 0 then []
-     else begin
-       let w = Int.min (if halve then (n + 1) / 2 else n) want in
-       let ring = Atomic.get s.ring in
-       let buf = Array.make w vacant in
-       for i = 0 to w - 1 do
-         (* Sanctioned racy read: a concurrent owner overwrite (recycled
-            index) or scrub makes this copy garbage, but then [top] has
-            moved past [t] and the CAS below fails, discarding it — see the
-            overwrite note on the type. *)
-         buf.(i) <- Slots.racy_get ring (slot ring (t + i))
-       done;
-       if Atomic.compare_and_set s.top t (t + w) then begin
-         shift_count s (-w);
-         List.init w (fun i -> (Obj.obj buf.(i) : 'a))
-       end
-       else begin
-         Mc_stats.note_top_cas_retry s.seg_stats;
-         claim_ring s ~want ~halve
-       end
-     end
+  (* Where a take's window goes. [Buffer] ([steal_half]) copies it into a
+     private buffer and returns it as loot. [Ring] ([steal_into]) stores
+     its tail into the thief's own ring at indices [>= bottom], exactly
+     where [push_many] would, and returns the oldest element. The target
+     fixes the result type, so both share one loop without a closure. *)
+  type (_, _) target =
+    | Buffer : ('a, 'a Cpool.Steal.loot) target
+    | Ring : ('a, 'a took) target
+
+  (* Take up to half the ring (at most [want]) from its front with one CAS
+     on [top]. Copy-then-claim: the oldest slot is read into a local and
+     the tail [t + 1, t + w) into the target FIRST; the CAS is the commit
+     point; only after it succeeds is anything converted or published. A
+     failed CAS may have copied garbage (see the overwrite note on the
+     type): a buffer is simply dropped, and the slots a [Ring] take filled
+     past [into]'s [bottom] are written back to [vacant] — they are not
+     published, but left alone they would keep elements alive that another
+     consumer took. The ring snapshot comes AFTER the cursor reads so a
+     concurrent swap cannot hide indices of [t, b) from it ([bottom] is
+     monotone). [into] is the thief's own segment (the caller owns it) and
+     only a [Ring] take touches it; it may be [s] itself. *)
+  let rec claim_window : type a r. a t -> (a, r) target -> into:a t -> want:int -> r =
+   fun s target ~into ~want ->
+    let t = Atomic.get s.top in
+    let b = Atomic.get s.bottom in
+    let n = b - t in
+    if n <= 0 then (match target with Buffer -> Cpool.Steal.Nothing | Ring -> Missed)
+    else begin
+      let w = Int.min ((n + 1) / 2) want in
+      let tail = w - 1 in
+      let ring = Atomic.get s.ring in
+      (* The tail's destination: [into]'s ring from its [bottom], grown if
+         it lacks room, or a fresh buffer. A one-element take has no tail
+         and touches neither ([dst] is then never written). *)
+      let at =
+        match target with
+        | Ring when tail > 0 ->
+          scrub_consumed into;
+          Atomic.get into.bottom
+        | Ring | Buffer -> 0
+      in
+      let dst =
+        if tail = 0 then ring
+        else
+          match target with
+          | Buffer -> Slots.make tail vacant
+          | Ring -> room_for into ~b:at tail
+      in
+      (* Sanctioned racy reads: a concurrent owner overwrite (recycled
+         index) or scrub makes these copies garbage, but then [top] has
+         moved past [t] and the CAS below fails. *)
+      let x = Slots.racy_get ring (slot ring t) in
+      for j = 0 to tail - 1 do
+        let v = Slots.racy_get ring (slot ring (t + 1 + j)) in
+        match target with
+        | Buffer -> Slots.set dst j v
+        | Ring -> Slots.set dst (slot dst (at + j)) v
+      done;
+      if Atomic.compare_and_set s.top t (t + w) then begin
+        shift_count s (-w);
+        match target with
+        | Ring -> Took ((Obj.obj x : a), w)
+        | Buffer ->
+          if tail = 0 then Cpool.Steal.Single (Obj.obj x : a)
+          else
+            Cpool.Steal.Batch
+              ((Obj.obj x : a), List.init tail (fun j -> (Obj.obj (Slots.get dst j) : a)))
+      end
+      else begin
+        Mc_stats.note_top_cas_retry s.seg_stats;
+        (match target with
+        | Buffer -> ()
+        | Ring ->
+          for j = 0 to tail - 1 do
+            Slots.set dst (slot dst (at + j)) vacant
+          done);
+        claim_window s target ~into ~want
+      end
+    end
 
   (* Single-element take, the owner's pop in a task-scheduler loop where
      it runs once per task: the same copy-then-claim protocol as
-     [claim_ring] with [w = 1], minus its window buffer and result list —
-     an allocation-free hot path. The memory-ordering argument is
+     [claim_window] with [w = 1], which has no tail to copy, minus the
+     target and the result block — an allocation-free hot path apart
+     from the [Some]. The memory-ordering argument is
      unchanged: the slot is read through [racy_get] BEFORE the [top] CAS,
      and a raced overwrite means [top] already moved so the CAS fails and
      the garbage copy is discarded unconverted. *)
@@ -405,43 +458,13 @@ module Make (P : Mc_prim.S) = struct
 
   let steal_half ?(max_take = max_int) s =
     if max_take < 1 then invalid_arg "Mc_segment.steal_half: max_take must be >= 1";
-    let taken =
-      match claim_ring s ~want:max_take ~halve:true with
-      | [] -> steal_inbox s max_take
-      | _ :: _ as taken -> taken
-    in
-    match taken with
-    | [] -> Cpool.Steal.Nothing
-    | [ x ] -> Cpool.Steal.Single x
-    | x :: rest -> Cpool.Steal.Batch (x, rest)
-
-  let deposit s xs =
-    match xs with
-    | [] -> []
-    | _ ->
-      let n = List.length xs in
-      let fits, rejected =
-        match s.bound with
-        | None ->
-          shift_count s n;
-          (xs, [])
-        | Some c ->
-          let granted = claim_up_to s ~bound:c n in
-          let rec split taken i rest =
-            if i = granted then (List.rev taken, rest)
-            else
-              match rest with
-              | [] -> (List.rev taken, [])
-              | x :: tl -> split (x :: taken) (i + 1) tl
-          in
-          split [] 0 xs
-      in
-      (match fits with
-      | [] -> ()
-      | _ ->
-        push_many s fits (List.length fits);
-        Mc_stats.note_fast_push s.seg_stats);
-      rejected
+    match claim_window s Buffer ~into:s ~want:max_take with
+    | Cpool.Steal.Nothing -> (
+      match steal_inbox s max_take with
+      | [] -> Cpool.Steal.Nothing
+      | [ x ] -> Cpool.Steal.Single x
+      | x :: rest -> Cpool.Steal.Batch (x, rest))
+    | (Cpool.Steal.Single _ | Cpool.Steal.Batch _) as loot -> loot
 
   let reserve s k =
     if k < 0 then invalid_arg "Mc_segment.reserve: negative reservation";
@@ -453,34 +476,75 @@ module Make (P : Mc_prim.S) = struct
         k
       | Some c -> claim_up_to s ~bound:c k
 
-  let refill s ~reserved xs =
-    let n = List.length xs in
-    if n > reserved then invalid_arg "Mc_segment.refill: more elements than reserved";
-    if reserved = 0 then ()
-    else begin
-      (match xs with
-      | [] -> ()
-      | _ ->
-        push_many s xs n;
-        Mc_stats.note_fast_push s.seg_stats);
-      (* Release the unused remainder of the reservation — after the
-         store, so [count >= stored] is never violated. *)
-      if n <> reserved then shift_count s (n - reserved)
-    end
+  (* The thief-side transfer. The ring branch has already stored the
+     banked tail past [into]'s [bottom]; publishing it is [push_many]'s
+     last step, with the count raised first unless a reservation already
+     covers it. The inbox branch lifts cells as [steal_half] does and
+     publishes all but the oldest with one [push_many]. Whatever part of
+     the reservation went unused is released last, after the store, so
+     [count >= stored] holds throughout. *)
+  let steal_into ?reserved s ~into =
+    let want =
+      match reserved with
+      | None -> max_int
+      | Some r when r < 0 -> invalid_arg "Mc_segment.steal_into: negative reservation"
+      | Some r -> r + 1
+    in
+    let took =
+      match claim_window s Ring ~into ~want with
+      | Took (_, w) as took ->
+        if w > 1 then begin
+          (match reserved with None -> shift_count into (w - 1) | Some _ -> ());
+          ignore (Atomic.fetch_and_add into.bottom (w - 1));
+          Mc_stats.note_fast_push into.seg_stats
+        end;
+        took
+      | Missed -> (
+        match steal_inbox s want with
+        | [] -> Missed
+        | [ x ] -> Took (x, 1)
+        | x :: rest ->
+          let k = List.length rest in
+          (match reserved with None -> shift_count into k | Some _ -> ());
+          push_many into rest k;
+          Mc_stats.note_fast_push into.seg_stats;
+          Took (x, k + 1))
+    in
+    (match reserved with
+    | None -> ()
+    | Some r ->
+      let used = match took with Missed -> 0 | Took (_, w) -> w - 1 in
+      if used < r then shift_count into (used - r));
+    took
 
   let stored_now s =
     Atomic.get s.bottom - Atomic.get s.top + List.length (Atomic.get s.inbox)
 
+  (* Every ring slot that no index in [scrub, bottom) maps to holds
+     [vacant]. Those slots are the ones of indices [bottom] up to
+     [length ring] past the lowest index that still maps to its own slot,
+     [max scrub (bottom - length ring)]. *)
+  let vacant_outside s ~b =
+    let ring = Atomic.get s.ring in
+    let from = Int.max (Plain.get s.scrub) (b - Slots.length ring) in
+    let rec go i =
+      i >= from + Slots.length ring || (Slots.get ring (slot ring i) == vacant && go (i + 1))
+    in
+    go b
+
   (* Quiescent-only: with no thread mid-operation the cursors and the count
      are read directly. [top <= bottom] is the cursor invariant ([bottom] is
      monotone and a claim never exceeds [bottom - top]); [scrub <= top]
-     because the scrub cursor only chases [top]. *)
+     because the scrub cursor only chases [top]; the space discipline holds
+     because every slot write past [bottom] is either published or written
+     back. *)
   let invariant_ok s =
     let t = Atomic.get s.top and b = Atomic.get s.bottom in
     let c = Atomic.get s.count in
     t <= b && Plain.get s.scrub <= t
     && c = stored_now s
-    && match s.bound with None -> true | Some bd -> c <= bd
+    && (match s.bound with None -> true | Some bd -> c <= bd)
+    && vacant_outside s ~b
 
   let debug_counts s = (Atomic.get s.count, stored_now s)
 end

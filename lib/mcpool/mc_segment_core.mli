@@ -6,8 +6,14 @@
     code with instrumented shims ([Cpool_analysis.Sched.Prim]) whose every
     atomic operation is a scheduling point, so the schedule enumeration
     exercises the shipped segment logic — including the copy-then-CAS
-    front-window claim shared by owner pops and stealers, and the MPSC
-    inbox push/drain — not a hand-written model of it. *)
+    front-window claim shared by owner pops, stealers and ring-to-ring
+    transfers, and the MPSC inbox push/drain — not a hand-written model of
+    it. *)
+
+(** What {!SEG.steal_into} moved: [Took (x, w)] when it claimed [w >= 1]
+    elements, the oldest [x] returned to the caller and the other [w - 1]
+    banked in the thief's own segment; [Missed] when it found none. *)
+type 'a took = Missed | Took of 'a * int
 
 module type SEG = sig
   type 'a t
@@ -22,9 +28,8 @@ module type SEG = sig
   val spare : 'a t -> int
   val try_remove : 'a t -> 'a option
   val steal_half : ?max_take:int -> 'a t -> 'a Cpool.Steal.loot
-  val deposit : 'a t -> 'a list -> 'a list
+  val steal_into : ?reserved:int -> 'a t -> into:'a t -> 'a took
   val reserve : 'a t -> int -> int
-  val refill : 'a t -> reserved:int -> 'a list -> unit
 
   val inbox_length : 'a t -> int
   (** Racy snapshot of the MPSC spill-inbox length (walks the stack). *)

@@ -287,7 +287,14 @@ let test_deep_scenarios_need_dpor () =
         Alcotest.fail
           (n ^ " is exhaustively enumerable; it does not need the reduction")
       | exception Sched.Exploded _ -> ())
-    [ "three-way"; "three-stealers"; "hint-three-way"; "spill-spill-drain" ]
+    [
+      "three-way";
+      "three-stealers";
+      "hint-three-way";
+      "spill-spill-drain";
+      "transfer-thief-steal";
+      "two-thieves-transfer";
+    ]
 
 (* ---- happens-before race detection ----------------------------------- *)
 
@@ -535,6 +542,37 @@ let test_linz_passes_correct_claim () =
   Alcotest.(check bool) "all schedules linearizable" true
     (Sched.explore instance > 1)
 
+(* The two-segment transfer spec on sequential histories: a victim holding
+   1, 2 and 3, a reservation of 1 in the thief's bounded segment, one
+   transfer consuming it, then a pop from the thief's segment. The
+   transfer must return an element the victim holds and bank at most
+   what it reserved, and what it banks must come out of the victim. *)
+let test_linz_transfer_spec () =
+  let linearizable took popped =
+    let h = Linz.create () in
+    Linz.declare_seg h ~id:0 ~capacity:None;
+    Linz.declare_seg h ~id:1 ~capacity:(Some 2);
+    List.iter
+      (fun x -> Linz.record h ~fiber:(-1) ~seg:0 (Linz.Add x) (fun () -> ()))
+      [ 1; 2; 3 ];
+    ignore (Linz.record h ~fiber:(-1) ~seg:1 (Linz.Reserve 1) (fun () -> 1) : int);
+    ignore
+      (Linz.record h ~fiber:(-1) ~seg:0 (Linz.Transfer (1, Some 1)) (fun () -> took)
+        : (int * int) option);
+    ignore (Linz.record h ~fiber:(-1) ~seg:1 Linz.Remove (fun () -> popped) : int option);
+    match Linz.check h with () -> true | exception Linz.Not_linearizable _ -> false
+  in
+  Alcotest.(check bool) "oldest returned, 2 banked" true (linearizable (Some (1, 2)) (Some 2));
+  Alcotest.(check bool) "any other element may be banked" true
+    (linearizable (Some (1, 2)) (Some 3));
+  Alcotest.(check bool) "an empty transfer" true (linearizable None None);
+  Alcotest.(check bool) "the returned element is not banked" false
+    (linearizable (Some (1, 2)) (Some 1));
+  Alcotest.(check bool) "an empty transfer banks nothing" false (linearizable None (Some 2));
+  Alcotest.(check bool) "an element the victim never held" false
+    (linearizable (Some (9, 1)) None);
+  Alcotest.(check bool) "more banked than reserved" false (linearizable (Some (1, 3)) (Some 2))
+
 let suites =
   [
     ( "lint",
@@ -604,5 +642,6 @@ let suites =
           test_linz_catches_double_claim;
         Alcotest.test_case "CAS claim linearizable" `Quick
           test_linz_passes_correct_claim;
+        Alcotest.test_case "transfer spec" `Quick test_linz_transfer_spec;
       ] );
   ]

@@ -602,6 +602,35 @@ let test_bounded_steal_capped () =
   Mc_pool.deregister pool h0;
   Mc_pool.deregister pool h1
 
+(* Runs [work] while a watcher domain polls every segment's occupied
+   capacity; returns how often it saw one past [capacity]. *)
+let watch_capacity pool ~capacity work =
+  let stop = Atomic.make false in
+  let over_capacity = Atomic.make 0 in
+  let watcher =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Array.iter
+            (fun size -> if size > capacity then Atomic.incr over_capacity)
+            (Mc_pool.segment_sizes pool);
+          Domain.cpu_relax ()
+        done)
+  in
+  work ();
+  Atomic.set stop true;
+  Domain.join watcher;
+  Atomic.get over_capacity
+
+let drain_into pool h removed =
+  let rec drain () =
+    match Mc_pool.remove pool h with
+    | Some _ ->
+      Atomic.incr removed;
+      drain ()
+    | None -> ()
+  in
+  drain ()
+
 let test_bounded_capacity_never_exceeded kind () =
   (* Regression for the capacity race: steals used to size their take from
      an unlocked [spare] read and then deposit unconditionally, so racing
@@ -614,76 +643,101 @@ let test_bounded_capacity_never_exceeded kind () =
       { Mc_pool.Config.default with kind; capacity = Some capacity; segments = domains }
   in
   let handles = Array.init domains (Mc_pool.register_at pool) in
-  let stop = Atomic.make false in
-  let over_capacity = Atomic.make 0 in
-  let watcher =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          Array.iter
-            (fun size -> if size > capacity then Atomic.incr over_capacity)
-            (Mc_pool.segment_sizes pool);
-          Domain.cpu_relax ()
-        done)
-  in
   let added = Atomic.make 0 and removed = Atomic.make 0 in
-  let ds =
-    List.init domains (fun i ->
-        Domain.spawn (fun () ->
-            let h = handles.(i) in
-            for k = 1 to per do
-              (* Add-heavy (2 adds : 1 remove) keeps segments pinned at the
-                 bound, maximising spills and capped steals. *)
-              if k mod 3 < 2 then begin
-                if Mc_pool.try_add pool h k then Atomic.incr added
-              end
-              else
-                match Mc_pool.try_remove pool h with
-                | Some _ -> Atomic.incr removed
-                | None -> ()
-            done;
-            let rec drain () =
-              match Mc_pool.remove pool h with
-              | Some _ ->
-                Atomic.incr removed;
-                drain ()
-              | None -> ()
-            in
-            drain ();
-            Mc_pool.deregister pool h))
+  let over =
+    watch_capacity pool ~capacity (fun () ->
+        List.init domains (fun i ->
+            Domain.spawn (fun () ->
+                let h = handles.(i) in
+                for k = 1 to per do
+                  (* Add-heavy (2 adds : 1 remove) keeps segments pinned at
+                     the bound, maximising spills and capped steals. *)
+                  if k mod 3 < 2 then begin
+                    if Mc_pool.try_add pool h k then Atomic.incr added
+                  end
+                  else
+                    match Mc_pool.try_remove pool h with
+                    | Some _ -> Atomic.incr removed
+                    | None -> ()
+                done;
+                drain_into pool h removed;
+                Mc_pool.deregister pool h))
+        |> List.iter Domain.join)
   in
-  List.iter Domain.join ds;
-  Atomic.set stop true;
-  Domain.join watcher;
-  Alcotest.(check int) "capacity never exceeded" 0 (Atomic.get over_capacity);
+  Alcotest.(check int) "capacity never exceeded" 0 over;
   Alcotest.(check int) "conservation" (Atomic.get added) (Atomic.get removed);
   Alcotest.(check int) "drained" 0 (Mc_pool.size pool);
-  Alcotest.(check bool) "segments consistent" true (Mc_pool.check_segments pool)
+  Alcotest.(check bool) "segments consistent" true (Mc_pool.check_segments pool);
+  (* One producer and one consumer at capacity 1,024: the consumer's
+     bounded transfers move up to hundreds of elements each into its own
+     ring, growing it, under the same watcher. The first one starts from a
+     full producer segment, so it moves 512. *)
+  let capacity = 1_024 and per = 50_000 in
+  let pool =
+    Mc_pool.of_config
+      { Mc_pool.Config.default with kind; capacity = Some capacity; segments = 2 }
+  in
+  let producer = Mc_pool.register_at pool 0 and consumer = Mc_pool.register_at pool 1 in
+  let added = Atomic.make 0 and removed = Atomic.make 0 and produced = Atomic.make false in
+  for k = 1 to capacity do
+    Mc_pool.add pool producer k;
+    Atomic.incr added
+  done;
+  let over =
+    watch_capacity pool ~capacity (fun () ->
+        if Mc_pool.try_remove pool consumer = None then Alcotest.fail "first steal missed";
+        Atomic.incr removed;
+        let p =
+          Domain.spawn (fun () ->
+              for k = 1 to per do
+                if Mc_pool.try_add pool producer k then Atomic.incr added
+              done;
+              (* A blocking remove waits for every registered handle. *)
+              Mc_pool.deregister pool producer;
+              Atomic.set produced true)
+        in
+        while not (Atomic.get produced) do
+          match Mc_pool.try_remove pool consumer with
+          | Some _ -> Atomic.incr removed
+          | None -> Domain.cpu_relax ()
+        done;
+        Domain.join p;
+        drain_into pool consumer removed)
+  in
+  Alcotest.(check int) "capacity never exceeded (1 producer, 1 consumer)" 0 over;
+  Alcotest.(check int) "conservation (1 producer, 1 consumer)" (Atomic.get added)
+    (Atomic.get removed);
+  Alcotest.(check (float 0.0)) "largest transfer: half a full segment" 512.0
+    (Cpool_metrics.Sample.max_value
+       (Mc_stats.steal_batch_sizes (Mc_pool.stats_of_handle consumer)));
+  Mc_pool.deregister pool consumer;
+  Alcotest.(check bool) "segments consistent (1 producer, 1 consumer)" true
+    (Mc_pool.check_segments pool)
 
 (* --- Segment-level capacity primitives --- *)
 
-let test_segment_deposit_overflow () =
-  let s : int Mc_segment.t = Mc_segment.make ~capacity:3 ~id:0 () in
-  Alcotest.(check bool) "fill one" true (Mc_segment.try_add s 1);
-  Alcotest.(check (list int)) "rejects past the bound" [ 12 ]
-    (Mc_segment.deposit s [ 10; 11; 12 ]);
-  Alcotest.(check int) "filled to capacity" 3 (Mc_segment.size s);
-  Alcotest.(check bool) "consistent" true (Mc_segment.invariant_ok s);
-  let u : int Mc_segment.t = Mc_segment.make ~id:1 () in
-  Alcotest.(check (list int)) "unbounded never rejects" []
-    (Mc_segment.deposit u [ 1; 2; 3 ])
-
-let test_segment_reserve_refill () =
+(* [reserve] claims headroom that counts as occupied; a transfer under it
+   banks at most [reserved] elements and releases the rest. *)
+let test_segment_reserve_transfer () =
   let s : int Mc_segment.t = Mc_segment.make ~capacity:4 ~id:0 () in
   Alcotest.(check bool) "one stored" true (Mc_segment.try_add s 1);
   Alcotest.(check int) "reservation capped by spare" 3 (Mc_segment.reserve s 10);
   Alcotest.(check int) "reservation occupies capacity" 4 (Mc_segment.size s);
   Alcotest.(check bool) "adds see no room" false (Mc_segment.try_add s 2);
-  Mc_segment.refill s ~reserved:3 [ 7; 8 ];
+  let victim : int Mc_segment.t = Mc_segment.make ~id:1 () in
+  List.iter (Mc_segment.add victim) [ 5; 6; 7; 8; 9; 10 ];
+  (match Mc_segment.steal_into ~reserved:3 victim ~into:s with
+  | Mc_segment.Took (x, w) ->
+    Alcotest.(check (pair int int)) "oldest returned, half claimed" (5, 3) (x, w)
+  | Mc_segment.Missed -> Alcotest.fail "transfer found nothing");
   Alcotest.(check int) "unused reservation released" 3 (Mc_segment.size s);
-  Alcotest.(check bool) "consistent after refill" true (Mc_segment.invariant_ok s);
-  Alcotest.check_raises "overfull refill"
-    (Invalid_argument "Mc_segment.refill: more elements than reserved") (fun () ->
-      Mc_segment.refill s ~reserved:1 [ 1; 2 ]);
+  Alcotest.(check bool) "consistent after the transfer" true (Mc_segment.invariant_ok s);
+  Alcotest.(check int) "reservation capped by spare again" 1 (Mc_segment.reserve s 2);
+  (match Mc_segment.steal_into ~reserved:1 (Mc_segment.make ~id:2 ()) ~into:s with
+  | Mc_segment.Missed -> ()
+  | Mc_segment.Took _ -> Alcotest.fail "an empty victim yielded an element");
+  Alcotest.(check int) "released when nothing was taken" 3 (Mc_segment.size s);
+  Alcotest.(check bool) "consistent after a miss" true (Mc_segment.invariant_ok s);
   Alcotest.check_raises "negative reservation"
     (Invalid_argument "Mc_segment.reserve: negative reservation") (fun () ->
       ignore (Mc_segment.reserve s (-1)))
@@ -805,15 +859,60 @@ let test_owner_path_allocation_budget () =
   let pairs = Gc.minor_words () -. w0 in
   Alcotest.(check bool)
     (Printf.sprintf "pool add+local pairs: only the Some (saw %.0f words)" pairs)
-    true (pairs <= pair_budget)
+    true (pairs <= pair_budget);
+  (* A ring-to-ring transfer of [w] elements allocates its [Took] block (3
+     words) and nothing per element: measured at w = 2 and w = 256 over
+     1,000 transfers each, the victim restocked to [2 w] by owner adds
+     between them and the thief's ring grown in advance to bank them all. *)
+  let transfers = 1_000 in
+  let transfer_words w =
+    let victim : int Mc_segment.t = Mc_segment.make ~id:1 () in
+    let thief : int Mc_segment.t = Mc_segment.make ~id:2 () in
+    for i = 1 to transfers * w do
+      Mc_segment.add thief i
+    done;
+    while Mc_segment.try_remove thief <> None do
+      ()
+    done;
+    for i = 1 to w do
+      Mc_segment.add victim i
+    done;
+    Gc.minor ();
+    let promoted0 = (Gc.quick_stat ()).Gc.promoted_words in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to transfers do
+      for i = 1 to w do
+        Mc_segment.add victim i
+      done;
+      match Mc_segment.steal_into victim ~into:thief with
+      | Mc_segment.Took (_, took) ->
+        if took <> w then Alcotest.failf "took %d, wanted %d" took w
+      | Mc_segment.Missed -> Alcotest.fail "transfer found nothing"
+    done;
+    let words = Gc.minor_words () -. w0 in
+    let promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
+    Alcotest.(check (float 0.0)) (Printf.sprintf "w = %d: nothing promoted" w) 0.0 promoted;
+    Alcotest.(check int) "every element banked" (transfers * (w - 1)) (Mc_segment.size thief);
+    words
+  in
+  let small = transfer_words 2 and large = transfer_words 256 in
+  let block_budget = (3.0 *. float_of_int transfers) +. alloc_slack in
+  Alcotest.(check bool)
+    (Printf.sprintf "transfers of 2: one small block each (saw %.0f words)" small)
+    true (small <= block_budget);
+  Alcotest.(check bool)
+    (Printf.sprintf "transfers of 256 allocate as transfers of 2 (saw %.0f and %.0f words)"
+       large small)
+    true (Float.abs (large -. small) <= alloc_slack)
 
 (* The flat ring holds removed elements until the owner scrubs their slots.
    Weak pointers check that what was taken — by owner pops, by steal_half,
-   and on both sides of a ring growth — becomes collectable by the owner's
-   next push or idle [try_remove], while live elements stay reachable. *)
+   on both sides of a ring growth, and by a transfer into another
+   segment — becomes collectable by the owner's next push or idle
+   [try_remove], while live elements stay reachable. *)
 let test_segment_ring_releases_removed () =
   let s : int ref Mc_segment.t = Mc_segment.make ~id:0 () in
-  let w = Weak.create 17 in
+  let w = Weak.create 24 in
   (* No local binding to an element survives its [add]. *)
   let put i =
     let r = ref i in
@@ -856,7 +955,31 @@ let test_segment_ring_releases_removed () =
   Alcotest.(check bool) "idle try_remove" true (Mc_segment.try_remove s = None);
   Gc.full_major ();
   check_range "drained element collected" 11 16 true;
-  Alcotest.(check bool) "consistent" true (Mc_segment.invariant_ok s)
+  Alcotest.(check bool) "consistent" true (Mc_segment.invariant_ok s);
+  (* A transfer into a thief's segment: the victim's next push scrubs the
+     claimed slots, so the returned element goes once the caller drops it,
+     while the banked ones stay alive in the thief's ring until the thief
+     takes them and idles. *)
+  let thief : int ref Mc_segment.t = Mc_segment.make ~id:1 () in
+  for i = 17 to 22 do
+    put i
+  done;
+  (match Mc_segment.steal_into s ~into:thief with
+  | Mc_segment.Took (_, w) -> Alcotest.(check int) "transfer claims ceil(6/2)" 3 w
+  | Mc_segment.Missed -> Alcotest.fail "transfer found nothing");
+  put 23;
+  Gc.full_major ();
+  check_range "returned element collected" 17 17 true;
+  check_range "banked element kept" 18 19 false;
+  check_range "victim's element kept" 20 23 false;
+  for _ = 1 to 2 do
+    ignore (Mc_segment.try_remove thief : int ref option)
+  done;
+  Alcotest.(check bool) "thief idles" true (Mc_segment.try_remove thief = None);
+  Gc.full_major ();
+  check_range "banked element collected once taken" 18 19 true;
+  Alcotest.(check bool) "thief consistent" true (Mc_segment.invariant_ok thief);
+  Alcotest.(check bool) "victim consistent" true (Mc_segment.invariant_ok s)
 
 (* Slots are [Obj.t], made from an immediate filler: a float element is
    stored as its box, never in a flat float array (where the immediate
@@ -930,27 +1053,62 @@ let test_pool_counter_labels () =
   Alcotest.(check int) "ring ops" 10 (Mc_stats.fast_path_ops stats);
   Alcotest.(check int) "steals" 0 (get "steals")
 
-(* [deposit] and [refill] publish a whole batch with one fetch-and-add of
-   [bottom], so each counts as one ring push whatever its length; an empty
-   batch publishes nothing. A spill goes to the inbox, not the ring. *)
+(* A transfer publishes its banked tail with one fetch-and-add of
+   [bottom], so each counts as one ring push on the thief's segment
+   whatever its length, and one that banks nothing publishes nothing. The
+   inbox fallback banks its cells with one batched push too. A spill goes
+   to the inbox, not the ring. *)
 let test_segment_batch_push_stats () =
   let s : int Mc_segment.t = Mc_segment.make ~id:0 () in
-  Alcotest.(check (list int)) "unbounded deposit keeps all" [] (Mc_segment.deposit s [ 1; 2; 3 ]);
-  Alcotest.(check (list int)) "empty deposit" [] (Mc_segment.deposit s []);
-  let reserved = Mc_segment.reserve s 4 in
-  Mc_segment.refill s ~reserved [ 4; 5 ];
-  Mc_segment.refill s ~reserved:(Mc_segment.reserve s 1) [];
-  Alcotest.(check bool) "spill" true (Mc_segment.spill_add s 6);
+  let victim : int Mc_segment.t = Mc_segment.make ~id:1 () in
+  List.iter (Mc_segment.add victim) [ 1; 2; 3; 4; 5; 6 ];
+  let returned = ref [] in
+  let transfer ?reserved () =
+    match Mc_segment.steal_into ?reserved victim ~into:s with
+    | Mc_segment.Took (x, _) -> returned := x :: !returned
+    | Mc_segment.Missed -> Alcotest.fail "transfer found nothing"
+  in
+  transfer ();
+  (* 1 returned, 2 and 3 banked in one push. *)
+  transfer ~reserved:(Mc_segment.reserve s 0) ();
+  (* Capped at one element: 4 returned, nothing banked. *)
+  transfer ();
+  transfer ();
+  (* 5, then 6: single-element windows. The ring is dry now. *)
+  List.iter (fun x -> ignore (Mc_segment.spill_add victim x : bool)) [ 7; 8; 9 ];
+  transfer ();
+  (* Inbox fallback: ceil(3/2) = 2 cells, the newest (9) returned and 8
+     banked in one push. *)
+  Alcotest.(check bool) "spill" true (Mc_segment.spill_add s 10);
   let get name = Cpool_metrics.Counters.get (Mc_stats.counters (Mc_segment.stats s)) name in
-  Alcotest.(check int) "one push per non-empty batch" 2 (get "fast-path pushes");
+  Alcotest.(check int) "one push per non-empty banked batch" 2 (get "fast-path pushes");
   Alcotest.(check int) "spill counted on the inbox" 1 (get "inbox adds");
-  Alcotest.(check int) "every element stored" 6 (Mc_segment.size s);
+  Alcotest.(check (list int)) "oldest elements returned" [ 1; 4; 5; 6; 9 ] (List.rev !returned);
+  Alcotest.(check int) "every banked element stored" 4 (Mc_segment.size s);
   let rec drain acc =
     match Mc_segment.try_remove s with Some x -> drain (x :: acc) | None -> List.rev acc
   in
-  Alcotest.(check (list int)) "drained in FIFO order" [ 1; 2; 3; 4; 5; 6 ] (drain []);
-  Alcotest.(check int) "one pop per element" 6 (get "fast-path pops");
-  Alcotest.(check bool) "consistent" true (Mc_segment.invariant_ok s)
+  Alcotest.(check (list int)) "drained in FIFO order" [ 2; 3; 8; 10 ] (drain []);
+  Alcotest.(check int) "one pop per element" 4 (get "fast-path pops");
+  Alcotest.(check bool) "consistent" true (Mc_segment.invariant_ok s);
+  Alcotest.(check bool) "victim consistent" true (Mc_segment.invariant_ok victim)
+
+(* A search pass probes the thief's own slot too, so a segment may be the
+   victim of a transfer into itself: the tail moves from the front of the
+   ring to its back. *)
+let test_segment_transfer_into_itself () =
+  let s : int Mc_segment.t = Mc_segment.make ~id:0 () in
+  List.iter (Mc_segment.add s) [ 1; 2; 3; 4; 5; 6; 7 ];
+  (match Mc_segment.steal_into s ~into:s with
+  | Mc_segment.Took (x, w) -> Alcotest.(check (pair int int)) "oldest, half" (1, 4) (x, w)
+  | Mc_segment.Missed -> Alcotest.fail "transfer found nothing");
+  Alcotest.(check int) "size" 6 (Mc_segment.size s);
+  Alcotest.(check bool) "consistent" true (Mc_segment.invariant_ok s);
+  let rec drain acc =
+    match Mc_segment.try_remove s with Some x -> drain (x :: acc) | None -> List.rev acc
+  in
+  Alcotest.(check (list int)) "tail moved to the back" [ 5; 6; 7; 2; 3; 4 ] (drain []);
+  Alcotest.(check bool) "consistent when drained" true (Mc_segment.invariant_ok s)
 
 let test_segment_steal_batch_stats () =
   (* Batch-size telemetry lives on the thief's handle now: with the victim
@@ -1187,6 +1345,7 @@ let suites =
           test_segment_mpsc_drain_completeness;
         Alcotest.test_case "mc_bench smoke + JSON artifact" `Quick test_mc_bench_smoke;
         Alcotest.test_case "batched pushes counted" `Quick test_segment_batch_push_stats;
+        Alcotest.test_case "transfer into itself" `Quick test_segment_transfer_into_itself;
         Alcotest.test_case "committed BENCH_mcpool.json validates" `Quick
           test_committed_bench_artifact;
         Alcotest.test_case "topology cells run aware and oblivious" `Quick
@@ -1215,8 +1374,7 @@ let suites =
         Alcotest.test_case "spill and reject" `Quick test_bounded_spill_and_reject;
         Alcotest.test_case "capacity validated" `Quick test_bounded_capacity_validated;
         Alcotest.test_case "steal capped" `Quick test_bounded_steal_capped;
-        Alcotest.test_case "deposit overflow" `Quick test_segment_deposit_overflow;
-        Alcotest.test_case "reserve and refill" `Quick test_segment_reserve_refill;
+        Alcotest.test_case "reserve and transfer" `Quick test_segment_reserve_transfer;
       ]
       @ per_kind "capacity never exceeded" test_bounded_capacity_never_exceeded );
   ]
