@@ -146,7 +146,8 @@ let run_rules () =
        lib/mcpool, lib/analysis";
       "missing-mli          R5: every lib/ module declares an .mli";
       "raw-obj              R6: no Obj.magic/Obj.repr/Obj.obj outside the \
-       sanctioned uniform-representation modules (mc_segment_core, sched)";
+       sanctioned uniform-representation modules (mc_segment and its \
+       generated functor copy mc_segment_core, sched)";
       "poly-compare         R7: no polymorphic min/max/compare (bare or \
        Stdlib.) in lib/mcpool, lib/tasks; use Int.min/Int.max/Int.compare";
       "bad-suppression      suppression comments need a known rule and a reason";

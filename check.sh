@@ -93,6 +93,19 @@ if grep -rn "Unix\.gettimeofday" --include="*.ml" --include="*.mli" \
   exit 1
 fi
 
+echo "== inlined primitives (no hardware functor instance in lib/mcpool) =="
+# Mc_segment and Mc_hints are compiled straight against Prim, whose hot
+# operations are externals inlined at each call site. A module built as
+# [include Make (...)] instead calls every primitive of its argument
+# through a closure (without flambda, and under the dev profile's -opaque,
+# nothing inlines them): about twenty indirect calls per owner add. The
+# functor copies (Mc_segment_core, Mc_hints_core) exist for the
+# interleaving checker only.
+if grep -n "include .*Make *(" lib/mcpool/*.ml; then
+  echo "check.sh: a lib/mcpool module includes a functor instance (compile its source against Prim instead)" >&2
+  exit 1
+fi
+
 echo "== mc-siege smoke (open-loop breaking-point search, 2 domains) =="
 dune exec bin/pools_bench.exe -- mc-siege --domains 2 --kind linear \
   --workload siege,arrival=poisson:500,duration=0.05,arrangement=balanced:1 \

@@ -13,7 +13,7 @@ module M = Cpool_mc.Mc_segment_core.Make (Sched.Prim)
 (* The hint board on the same instrumented primitives: the hinted hand-off
    scenarios below compose it with M's spill inbox exactly as
    Mc_pool.try_deliver / the parked hunt do. *)
-module H = Cpool_mc.Mc_hints.Make (Sched.Prim)
+module H = Cpool_mc.Mc_hints_core.Make (Sched.Prim)
 
 type scenario = { name : string; instance : unit -> Sched.instance }
 
@@ -75,7 +75,7 @@ let l_reserve h f seg s k =
 let l_transfer h f seg victim ~into_id ~into reserved =
   Linz.record h ~fiber:f ~seg (Linz.Transfer (into_id, reserved)) (fun () ->
       match M.steal_into ?reserved victim ~into with
-      | Cpool_mc.Mc_segment_core.Missed -> None
+      | M.Missed -> None
       | Took (x, w) -> Some (x, w))
 
 (* Quiescent only: everything left in [segs], taken with the owner's pop

@@ -17,9 +17,9 @@ val lint_source :
     in it. [ban_random] defaults from [file]'s path: banned under
     [lib/pool], [lib/sim], [lib/mcpool] and [lib/analysis]. [allow_obj]
     defaults from [file]'s basename: raw [Obj] is sanctioned only in
-    [mc_segment_core.ml] and [sched.ml]. [ban_poly_compare] defaults from
-    [file]'s path: banned under [lib/mcpool] and [lib/tasks]. Findings are
-    sorted. *)
+    [mc_segment.ml], its generated functor copy [mc_segment_core.ml] and
+    [sched.ml]. [ban_poly_compare] defaults from [file]'s path: banned
+    under [lib/mcpool] and [lib/tasks]. Findings are sorted. *)
 
 val lint_file :
   ?ban_random:bool ->

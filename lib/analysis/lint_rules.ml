@@ -227,9 +227,9 @@ let check_structure ~file ~ban_random ~allow_obj ~ban_poly_compare
            add e.pexp_loc raw_obj
              (Printf.sprintf
                 "%s defeats the type system outside the sanctioned \
-                 uniform-representation modules (mc_segment_core, sched); keep \
-                 unsafe casts behind their certified boundaries or suppress \
-                 with (* lint: allow raw-obj -- <reason> *)"
+                 uniform-representation modules (mc_segment, mc_segment_core, \
+                 sched); keep unsafe casts behind their certified boundaries \
+                 or suppress with (* lint: allow raw-obj -- <reason> *)"
                 name)
          | None -> ());
       if ban_poly_compare then

@@ -27,8 +27,9 @@
     - R6 [raw-obj] — no [Obj.magic]/[Obj.repr]/[Obj.obj] where [allow_obj]
       is unset. The unsafe casts are confined to the modules that own a
       uniform-representation container and are certified by the interleave
-      scenarios ([mc_segment_core], [sched]); anywhere else they must carry
-      a [(* lint: allow raw-obj -- <reason> *)].
+      scenarios ([mc_segment] and its generated functor copy
+      [mc_segment_core], [sched]); anywhere else they must carry a
+      [(* lint: allow raw-obj -- <reason> *)].
     - R7 [poly-compare] — no bare [min]/[max]/[compare] (nor their
       [Stdlib.] forms) where [ban_poly_compare] is set: [min]/[max] always
       call the generic structural comparison, a C call per use even on

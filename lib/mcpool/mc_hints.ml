@@ -5,10 +5,9 @@
    parked searcher's segment (via the segment's spill inbox), skipping its
    own segment entirely.
 
-   The board is atomics-only — no mutex is ever held while touching it, so
-   its lock order is trivial: the only lock a hinted hand-off takes is the
-   target segment's mutex inside [spill_add], after the board transition
-   committed. Slot lifecycle:
+   The board is atomics-only, and so is the [spill_add] a delivery makes
+   after the board transition committed: a hinted hand-off takes no lock.
+   Slot lifecycle:
 
      Free --publish (owner store)--> Published
      Published --retract (owner CAS)--> Free
@@ -29,106 +28,81 @@
    direction; both misreadings are benign (a futile scan, or a missed
    hand-off that falls back to a normal add). *)
 
-module type HINTS = sig
-  type t
+(* Like mc_segment.ml, this file is compiled twice: as [Mc_hints] against
+   the hardware [Prim], and as the functor [Mc_hints_core.Make] over
+   [Mc_prim.S] that the interleaving checker runs (see this directory's
+   dune file). *)
 
-  type retract_outcome = Retracted | Claim_pending
+type state = Free | Published | Claimed
 
-  val create : slots:int -> unit -> t
+type t = { board : state Prim.Atomic.t array; waiting : int Prim.Atomic.t }
 
-  val slots : t -> int
+type retract_outcome = Retracted | Claim_pending
 
-  val waiters : t -> int
+let create ~slots () =
+  if slots <= 0 then invalid_arg "Mc_hints.create: slots must be positive";
+  {
+    board = Array.init slots (fun _ -> Prim.Atomic.make_padded Free);
+    waiting = Prim.Atomic.make_padded 0;
+  }
 
-  val publish : t -> int -> unit
+let slots t = Array.length t.board
 
-  val try_claim : ?order:int array -> t -> from:int -> int option
+let waiters t = Prim.Atomic.get t.waiting
 
-  val release : t -> int -> unit
+let publish t i =
+  (* Owner-only Free -> Published, so a plain store suffices. State
+     first, count second: an adder that reads the stale count either
+     scans in vain or misses this hint for one round — never claims a
+     slot that is not Published. *)
+  Prim.Atomic.set t.board.(i) Published;
+  ignore (Prim.Atomic.fetch_and_add t.waiting 1)
 
-  val retract : t -> int -> retract_outcome
-
-  val is_published : t -> int -> bool
-
-  val is_free : t -> int -> bool
-
-  val published_count : t -> int
-end
-
-module Make (P : Mc_prim.S) : HINTS = struct
-  type state = Free | Published | Claimed
-
-  type t = { board : state P.Atomic.t array; waiting : int P.Atomic.t }
-
-  type retract_outcome = Retracted | Claim_pending
-
-  let create ~slots () =
-    if slots <= 0 then invalid_arg "Mc_hints.create: slots must be positive";
-    {
-      board = Array.init slots (fun _ -> P.Atomic.make_padded Free);
-      waiting = P.Atomic.make_padded 0;
-    }
-
-  let slots t = Array.length t.board
-
-  let waiters t = P.Atomic.get t.waiting
-
-  let publish t i =
-    (* Owner-only Free -> Published, so a plain store suffices. State
-       first, count second: an adder that reads the stale count either
-       scans in vain or misses this hint for one round — never claims a
-       slot that is not Published. *)
-    P.Atomic.set t.board.(i) Published;
-    ignore (P.Atomic.fetch_and_add t.waiting 1)
-
-  let try_claim ?order t ~from =
-    let p = Array.length t.board in
-    (* Visit slots in [order] when given (topology-aware pools pass the
-       claimer's near-first permutation so nearby parked searchers win);
-       default to the ring from the claimer's own slot, like the spill
-       scan. The claimer's own slot is skipped either way — never useful
-       to claim. Take the first published hint that the CAS wins. *)
-    let slot_at k = match order with None -> (from + k) mod p | Some o -> o.(k) in
-    let rec scan k =
-      if k = p then None
-      else
-        let w = slot_at k in
-        if
-          w <> from
-          && P.Atomic.get t.board.(w) == Published
-          && P.Atomic.compare_and_set t.board.(w) Published Claimed
-        then begin
-          ignore (P.Atomic.fetch_and_add t.waiting (-1));
-          Some w
-        end
-        else scan (k + 1)
-    in
-    scan (match order with None -> 1 | Some _ -> 0)
-
-  let release t w =
-    (* Claimed -> Free; only the adder whose CAS won holds the slot, so a
-       plain store suffices. The parked owner polls for exactly this. *)
-    P.Atomic.set t.board.(w) Free
-
-  let retract t i =
-    if P.Atomic.compare_and_set t.board.(i) Published Free then begin
-      ignore (P.Atomic.fetch_and_add t.waiting (-1));
-      Retracted
-    end
+let try_claim ?order t ~from =
+  let p = Array.length t.board in
+  (* Visit slots in [order] when given (topology-aware pools pass the
+     claimer's near-first permutation so nearby parked searchers win);
+     default to the ring from the claimer's own slot, like the spill
+     scan. The claimer's own slot is skipped either way — never useful
+     to claim. Take the first published hint that the CAS wins. *)
+  let slot_at k = match order with None -> (from + k) mod p | Some o -> o.(k) in
+  let rec scan k =
+    if k = p then None
     else
-      (* The CAS can only lose to an adder's claim: the owner must await
-         [is_free] (the adder's release) and then check its own segment —
-         a delivery may have landed. *)
-      Claim_pending
+      let w = slot_at k in
+      if
+        w <> from
+        && Prim.Atomic.get t.board.(w) == Published
+        && Prim.Atomic.compare_and_set t.board.(w) Published Claimed
+      then begin
+        ignore (Prim.Atomic.fetch_and_add t.waiting (-1));
+        Some w
+      end
+      else scan (k + 1)
+  in
+  scan (match order with None -> 1 | Some _ -> 0)
 
-  let is_published t i = P.Atomic.get t.board.(i) == Published
+let release t w =
+  (* Claimed -> Free; only the adder whose CAS won holds the slot, so a
+     plain store suffices. The parked owner polls for exactly this. *)
+  Prim.Atomic.set t.board.(w) Free
 
-  let is_free t i = P.Atomic.get t.board.(i) == Free
+let retract t i =
+  if Prim.Atomic.compare_and_set t.board.(i) Published Free then begin
+    ignore (Prim.Atomic.fetch_and_add t.waiting (-1));
+    Retracted
+  end
+  else
+    (* The CAS can only lose to an adder's claim: the owner must await
+       [is_free] (the adder's release) and then check its own segment —
+       a delivery may have landed. *)
+    Claim_pending
 
-  let published_count t =
-    Array.fold_left
-      (fun acc s -> if P.Atomic.get s == Published then acc + 1 else acc)
-      0 t.board
-end
+let is_published t i = Prim.Atomic.get t.board.(i) == Published
 
-include Make (Mc_prim.Real)
+let is_free t i = Prim.Atomic.get t.board.(i) == Free
+
+let published_count t =
+  Array.fold_left
+    (fun acc s -> if Prim.Atomic.get s == Published then acc + 1 else acc)
+    0 t.board

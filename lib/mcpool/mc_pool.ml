@@ -505,27 +505,38 @@ let attempt_steal t h pos =
       record_steal t h pos ~elements;
       Some x
 
+(* The probe loops below are top-level functions of everything they read,
+   not local closures, so a search that finds nothing allocates nothing. *)
+
+(* Probe [ord.(i)], [ord.(i + 1)], ... up to [limit] until a steal
+   succeeds. *)
+let rec scan_order t h ord limit i =
+  if i = limit then None
+  else
+    match attempt_steal t h ord.(i) with
+    | Some _ as r -> r
+    | None -> scan_order t h ord limit (i + 1)
+
+(* Probe the [p] segments around the ring from [from] until a steal
+   succeeds. *)
+let rec scan_ring t h from p i =
+  if i = p then None
+  else
+    match attempt_steal t h ((from + i) mod p) with
+    | Some _ as r -> r
+    | None -> scan_ring t h from p (i + 1)
+
 (* One full deterministic pass over every segment; the confirmation step
    before reporting the pool empty. *)
 let sweep t h =
   Mc_stats.note_sweep h.stats;
   Mc_trace.record h.tracer Mc_trace.Sweep ~a1:h.pool_slot ~a2:0;
   let p = Array.length t.segs in
-  let seg_at =
-    (* Aware sweeps also go near-first: both orders start at the sweeper's
-       own slot, so the empty-confirmation coverage is identical. *)
-    match t.topo with
-    | Some ti when ti.aware -> fun i -> ti.order.(h.pool_slot).(i)
-    | _ -> fun i -> (h.pool_slot + i) mod p
-  in
-  let rec go i =
-    if i = p then None
-    else
-      match attempt_steal t h (seg_at i) with
-      | Some x -> Some x
-      | None -> go (i + 1)
-  in
-  go 0
+  (* Aware sweeps also go near-first: both orders start at the sweeper's
+     own slot, so the empty-confirmation coverage is identical. *)
+  match t.topo with
+  | Some ti when ti.aware -> scan_order t h ti.order.(h.pool_slot) p 0
+  | _ -> scan_ring t h h.pool_slot p 0
 
 let with_node_lock tree v f =
   Mutex.lock tree.node_locks.(v);
@@ -554,6 +565,14 @@ let pass_limit h ti =
   if tick mod escalate_every = 0 then Array.length ti.order.(h.pool_slot)
   else ti.near_len.(h.pool_slot)
 
+(* [p] probes of segments drawn at random. *)
+let rec scan_random t h p i =
+  if i = p then None
+  else
+    match attempt_steal t h (Cpool_util.Rng.int h.rng p) with
+    | Some _ as r -> r
+    | None -> scan_random t h p (i + 1)
+
 (* One algorithm-specific search pass; None does not mean empty, only that
    this pass failed. *)
 let rec search_pass t h =
@@ -565,27 +584,12 @@ let rec search_pass t h =
        replaces the last-found restart — locality beats the temporal hint
        on a machine where far probes cost real latency. *)
     let ti = Option.get t.topo in
-    let ord = ti.order.(h.pool_slot) in
     let limit = pass_limit h ti in
-    let rec go i =
-      if i = limit then None
-      else
-        match attempt_steal t h ord.(i) with
-        | Some x -> Some x
-        | None -> go (i + 1)
-    in
-    go 0
+    scan_order t h ti.order.(h.pool_slot) limit 0
   | Linear | Hinted ->
     (* Hinted is linear search plus the hint board; the pass itself is the
        same ring scan. *)
-    let rec ring i =
-      if i = p then None
-      else
-        match attempt_steal t h ((h.last_found + i) mod p) with
-        | Some x -> Some x
-        | None -> ring (i + 1)
-    in
-    ring 0
+    scan_ring t h h.last_found p 0
   | Random when aware ->
     (* Still randomized, but only within each distance bucket: every full
        pass probes a permutation of all segments, near buckets before far
@@ -596,42 +600,18 @@ let rec search_pass t h =
       (fun (off, len) -> shuffle_span h.rng ord off len)
       ti.spans.(h.pool_slot);
     let limit = pass_limit h ti in
-    let rec go i =
-      if i = limit then None
-      else
-        match attempt_steal t h ord.(i) with
-        | Some x -> Some x
-        | None -> go (i + 1)
-    in
-    go 0
-  | Random ->
-    let rec probe i =
-      if i = p then None
-      else
-        match attempt_steal t h (Cpool_util.Rng.int h.rng p) with
-        | Some x -> Some x
-        | None -> probe (i + 1)
-    in
-    probe 0
+    scan_order t h ord limit 0
+  | Random -> scan_random t h p 0
   | Tree when aware -> (
     let ti = Option.get t.topo in
     let limit = pass_limit h ti in
-    if limit < p then begin
+    if limit < p then
       (* Near-only pass: under the group-major leaf placement the
          searcher's subtree is exactly its locality group, so a
          within-group pass is the near prefix scan; the round protocol
          only matters for whole-tree emptiness claims, which near passes
          never make. *)
-      let ord = ti.order.(h.pool_slot) in
-      let rec go i =
-        if i = limit then None
-        else
-          match attempt_steal t h ord.(i) with
-          | Some x -> Some x
-          | None -> go (i + 1)
-      in
-      go 0
-    end
+      scan_order t h ti.order.(h.pool_slot) limit 0
     else tree_pass t h)
   | Tree -> tree_pass t h
 
@@ -712,34 +692,32 @@ let park_spin_iters = 256
 
 let park_sleep_s = 5e-5
 
-let plain_hunt t h =
-  let rec hunt waited =
-    match search_pass t h with
-    | Some x -> Some x
-    | None ->
-      if Atomic.get t.searching >= Atomic.get t.registered then begin
-        (* Everyone is searching: a clean sweep proves the pool empty. *)
-        match sweep t h with
-        | Some x -> Some x
-        | None ->
-          Mc_stats.note_empty_confirm h.stats;
-          None
-      end
-      else begin
-        Mc_stats.note_spin h.stats;
-        (* Same escalation as the hinted parking discipline below: spin
-           briefly (work from a truly parallel adder lands within the
-           window), then sleep between search passes. The sleep matters
-           beyond politeness — a domain blocked in [sleepf] sits in a
-           blocking section, so it neither burns the producer's timeslice
-           on an oversubscribed machine nor forces its scheduling into
-           every stop-the-world GC barrier. *)
-        if waited < park_spin_iters then Domain.cpu_relax ()
-        else Unix.sleepf park_sleep_s;
-        hunt (waited + 1)
-      end
-  in
-  hunt 0
+(* Everyone is searching: a clean sweep proves the pool empty. *)
+let confirm_empty t h =
+  match sweep t h with
+  | Some _ as r -> r
+  | None ->
+    Mc_stats.note_empty_confirm h.stats;
+    None
+
+let rec plain_hunt t h waited =
+  match search_pass t h with
+  | Some _ as r -> r
+  | None ->
+    if Atomic.get t.searching >= Atomic.get t.registered then confirm_empty t h
+    else begin
+      Mc_stats.note_spin h.stats;
+      (* Same escalation as the hinted parking discipline below: spin
+         briefly (work from a truly parallel adder lands within the
+         window), then sleep between search passes. The sleep matters
+         beyond politeness — a domain blocked in [sleepf] sits in a
+         blocking section, so it neither burns the producer's timeslice
+         on an oversubscribed machine nor forces its scheduling into
+         every stop-the-world GC barrier. *)
+      if waited < park_spin_iters then Domain.cpu_relax ()
+      else Unix.sleepf park_sleep_s;
+      plain_hunt t h (waited + 1)
+    end
 
 (* Parking discipline for the Hinted hunt. A parked searcher spins briefly
    (a hand-off from a truly parallel adder lands within the spin window)
@@ -752,93 +730,97 @@ let park_budget_base = 64
 
 let park_budget_cap = 4096
 
-let hinted_hunt t h board =
+(* One round of the Hinted hunt with publish budget [budget]. The states
+   below are mutually recursive top-level functions of [t], [h] and the
+   board, so an empty-confirming hunt allocates nothing. *)
+let rec hinted_hunt t h board budget =
   let me = h.pool_slot in
-  let rec round budget =
-    match search_pass t h with
-    | Some x -> Some x
-    | None ->
-      if Atomic.get t.searching >= Atomic.get t.registered then quiesce_unparked ()
-      else begin
-        Mc_hints.publish board me;
-        Mc_stats.note_hint_published h.stats;
-        if Mc_trace.enabled h.tracer then begin
-          Mc_trace.record h.tracer Mc_trace.Hint_publish ~a1:me ~a2:0;
-          Mc_trace.record h.tracer Mc_trace.Park ~a1:me ~a2:budget
-        end;
-        park budget 0
-      end
-  (* Parked: our hint is on the board. Leave only through a retract (or,
-     when the retract CAS loses to a claim, through the claiming adder's
-     release) so the slot is always Free again before this hunt returns. *)
-  and park budget waited =
-    if not (Mc_hints.is_published board me) then claimed_wake budget 0
-    else if Mc_segment.size t.segs.(me) > 0 then unpark budget
-    else if Atomic.get t.searching >= Atomic.get t.registered then quiesce_parked budget
-    else if waited >= budget then expire budget
+  match search_pass t h with
+  | Some _ as r -> r
+  | None ->
+    if Atomic.get t.searching >= Atomic.get t.registered then confirm_empty t h
     else begin
-      Mc_stats.note_spin h.stats;
-      if waited < park_spin_iters then Domain.cpu_relax () else Unix.sleepf park_sleep_s;
-      park budget (waited + 1)
+      Mc_hints.publish board me;
+      Mc_stats.note_hint_published h.stats;
+      if Mc_trace.enabled h.tracer then begin
+        Mc_trace.record h.tracer Mc_trace.Hint_publish ~a1:me ~a2:0;
+        Mc_trace.record h.tracer Mc_trace.Park ~a1:me ~a2:budget
+      end;
+      park t h board budget 0
     end
-  and unpark budget =
-    (* Work arrived in our own segment (a plain spill, or a delivery racing
-       ahead of our poll): take the hint down first. *)
-    match Mc_hints.retract board me with
-    | Mc_hints.Retracted ->
-      Mc_stats.note_hint_expired h.stats;
+
+(* Parked: our hint is on the board. Leave only through a retract (or,
+   when the retract CAS loses to a claim, through the claiming adder's
+   release) so the slot is always Free again before this hunt returns. *)
+and park t h board budget waited =
+  let me = h.pool_slot in
+  if not (Mc_hints.is_published board me) then claimed_wake t h board 0
+  else if Mc_segment.size t.segs.(me) > 0 then unpark t h board
+  else if Atomic.get t.searching >= Atomic.get t.registered then quiesce_parked t h board
+  else if waited >= budget then expire t h board budget
+  else begin
+    Mc_stats.note_spin h.stats;
+    if waited < park_spin_iters then Domain.cpu_relax () else Unix.sleepf park_sleep_s;
+    park t h board budget (waited + 1)
+  end
+
+(* Work arrived in our own segment (a plain spill, or a delivery racing
+   ahead of our poll): take the hint down first. *)
+and unpark t h board =
+  let me = h.pool_slot in
+  match Mc_hints.retract board me with
+  | Mc_hints.Retracted ->
+    Mc_stats.note_hint_expired h.stats;
+    Mc_trace.record h.tracer Mc_trace.Hint_expire ~a1:me ~a2:0;
+    take_local_or_resweep t h board
+  | Mc_hints.Claim_pending -> claimed_wake t h board 0
+
+(* An adder's claim beat our retract: its delivery attempt finishes in a
+   bounded number of its own steps, marked by the slot's release. *)
+and claimed_wake t h board waited =
+  if Mc_hints.is_free board h.pool_slot then take_local_or_resweep t h board
+  else begin
+    Mc_stats.note_spin h.stats;
+    if waited < park_spin_iters then Domain.cpu_relax () else Unix.sleepf park_sleep_s;
+    claimed_wake t h board (waited + 1)
+  end
+
+and expire t h board budget =
+  let me = h.pool_slot in
+  match Mc_hints.retract board me with
+  | Mc_hints.Retracted ->
+    Mc_stats.note_hint_expired h.stats;
+    if Mc_trace.enabled h.tracer then begin
       Mc_trace.record h.tracer Mc_trace.Hint_expire ~a1:me ~a2:0;
-      take_local_or_resweep ()
-    | Mc_hints.Claim_pending -> claimed_wake budget 0
-  and claimed_wake budget waited =
-    (* An adder's claim beat our retract: its delivery attempt finishes in
-       a bounded number of its own steps, marked by the slot's release. *)
-    if Mc_hints.is_free board me then take_local_or_resweep ()
-    else begin
-      Mc_stats.note_spin h.stats;
-      if waited < park_spin_iters then Domain.cpu_relax () else Unix.sleepf park_sleep_s;
-      claimed_wake budget (waited + 1)
-    end
-  and expire budget =
-    match Mc_hints.retract board me with
-    | Mc_hints.Retracted ->
-      Mc_stats.note_hint_expired h.stats;
-      if Mc_trace.enabled h.tracer then begin
-        Mc_trace.record h.tracer Mc_trace.Hint_expire ~a1:me ~a2:0;
-        Mc_trace.record h.tracer Mc_trace.Wake ~a1:me ~a2:0
-      end;
-      round (Int.min park_budget_cap (2 * budget))
-    | Mc_hints.Claim_pending -> claimed_wake budget 0
-  and quiesce_parked budget =
-    (* Everyone is searching — but our own hint must come down before the
-       confirming sweep, or an adder-to-be could still claim it. A lost
-       retract means such an adder exists, so the pool is not quiescent
-       after all: absorb the delivery instead. *)
-    match Mc_hints.retract board me with
-    | Mc_hints.Retracted ->
-      Mc_stats.note_hint_expired h.stats;
-      if Mc_trace.enabled h.tracer then begin
-        Mc_trace.record h.tracer Mc_trace.Hint_expire ~a1:me ~a2:0;
-        Mc_trace.record h.tracer Mc_trace.Wake ~a1:me ~a2:0
-      end;
-      quiesce_unparked ()
-    | Mc_hints.Claim_pending -> claimed_wake budget 0
-  and quiesce_unparked () =
-    match sweep t h with
-    | Some x -> Some x
-    | None ->
-      Mc_stats.note_empty_confirm h.stats;
-      None
-  and take_local_or_resweep () =
-    Mc_trace.record h.tracer Mc_trace.Wake ~a1:me ~a2:0;
-    match try_remove_local t h with
-    | Some x -> Some x
-    | None ->
-      (* The element we woke for was stolen first (or the delivery was
-         aborted): the pool is active, so restart with a fresh budget. *)
-      round park_budget_base
-  in
-  round park_budget_base
+      Mc_trace.record h.tracer Mc_trace.Wake ~a1:me ~a2:0
+    end;
+    hinted_hunt t h board (Int.min park_budget_cap (2 * budget))
+  | Mc_hints.Claim_pending -> claimed_wake t h board 0
+
+(* Everyone is searching — but our own hint must come down before the
+   confirming sweep, or an adder-to-be could still claim it. A lost
+   retract means such an adder exists, so the pool is not quiescent after
+   all: absorb the delivery instead. *)
+and quiesce_parked t h board =
+  let me = h.pool_slot in
+  match Mc_hints.retract board me with
+  | Mc_hints.Retracted ->
+    Mc_stats.note_hint_expired h.stats;
+    if Mc_trace.enabled h.tracer then begin
+      Mc_trace.record h.tracer Mc_trace.Hint_expire ~a1:me ~a2:0;
+      Mc_trace.record h.tracer Mc_trace.Wake ~a1:me ~a2:0
+    end;
+    confirm_empty t h
+  | Mc_hints.Claim_pending -> claimed_wake t h board 0
+
+and take_local_or_resweep t h board =
+  Mc_trace.record h.tracer Mc_trace.Wake ~a1:h.pool_slot ~a2:0;
+  match try_remove_local t h with
+  | Some _ as r -> r
+  | None ->
+    (* The element we woke for was stolen first (or the delivery was
+       aborted): the pool is active, so restart with a fresh budget. *)
+    hinted_hunt t h board park_budget_base
 
 let remove t h =
   h.hunt_probes <- 0;
@@ -850,8 +832,8 @@ let remove t h =
        exactly what parking means, so quiescence detection stays exact. *)
     let result =
       match t.hints with
-      | Some board -> hinted_hunt t h board
-      | None -> plain_hunt t h
+      | Some board -> hinted_hunt t h board park_budget_base
+      | None -> plain_hunt t h 0
     in
     Atomic.decr t.searching;
     result

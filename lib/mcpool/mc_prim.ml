@@ -49,35 +49,6 @@ module type S = sig
   module Slots : SLOTS
 end
 
-module Real = struct
-  module Atomic = struct
-    include Stdlib.Atomic
-
-    (* An atomic is a one-word heap block: consecutive [make]s land on the
-       same cache line and false-share across domains. Re-homing each hot
-       atomic in an oversized block keeps them a line apart. *)
-    let make_padded v = Cpool_util.Pad.copy_as_padded (Stdlib.Atomic.make v)
-  end
-
-  module Mutex = Mutex
-
-  module Plain = struct
-    type 'a t = { mutable v : 'a }
-
-    let make v = { v }
-    let get c = c.v
-    let set c x = c.v <- x
-    let racy_get = get
-  end
-
-  (* A bare array: one block for the whole ring, no per-slot box. *)
-  module Slots = struct
-    type 'a t = 'a array
-
-    let make = Array.make
-    let length = Array.length
-    let get = Array.get
-    let set = Array.set
-    let racy_get = Array.get
-  end
-end
+(* The hardware primitives must keep the shape the checker's functors are
+   written against. *)
+module _ : S = Prim

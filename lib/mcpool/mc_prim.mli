@@ -1,17 +1,22 @@
-(** Synchronisation primitives the multicore segment is written against.
+(** Synchronisation primitives the multicore segment and the hint board
+    are written against.
 
-    {!Mc_segment_core} takes these as a functor parameter so the exact same
-    segment code can run either on the hardware primitives ({!Real}) or on
-    the interleaving checker's instrumented shims
-    ([Cpool_analysis.Sched.Prim]), which turn every primitive operation into
-    a scheduling point and let a bounded DFS enumerate all interleavings.
+    [mc_segment.ml] and [mc_hints.ml] are each compiled twice: once as the
+    hardware modules {!Mc_segment} and {!Mc_hints}, against {!Prim}, whose
+    hot operations are [external]s that inline at every call site; and once
+    as the functors [Mc_segment_core.Make] and [Mc_hints_core.Make] over
+    {!S}, which the interleaving checker applies to its instrumented shims
+    ([Cpool_analysis.Sched.Prim]). The shims turn every primitive operation
+    into a scheduling point and let a bounded DFS enumerate all
+    interleavings. Because the functor build sees only {!S}, a use of any
+    operation outside it fails to compile.
 
     Four modules: [Atomic] and [Mutex] are the synchronising operations
     (scheduling points under the checker; the segment itself takes no
     lock); [Plain] is one unsynchronised cell and [Slots] a fixed-length
     array of them (race-checked under the checker, never scheduling
-    points). On hardware a [Slots.t] is one bare array, so the segment's
-    ring costs one block, not one box per slot. *)
+    points). On hardware ({!Prim}) a [Slots.t] is one bare array, so the
+    segment's ring costs one block, not one box per slot. *)
 
 module type ATOMIC = sig
   type 'a t
@@ -90,17 +95,6 @@ end
 module type S = sig
   module Atomic : ATOMIC
   module Mutex : MUTEX
-  module Plain : PLAIN
-  module Slots : SLOTS
-end
-
-(** The hardware primitives: [Stdlib.Atomic], [Stdlib.Mutex], a bare
-    mutable record field for [Plain] and a bare ['a array] for [Slots];
-    [make_padded] additionally re-homes the atomic in a padded heap
-    block. *)
-module Real : sig
-  module Atomic : ATOMIC with type 'a t = 'a Stdlib.Atomic.t
-  module Mutex : MUTEX with type t = Stdlib.Mutex.t
   module Plain : PLAIN
   module Slots : SLOTS
 end

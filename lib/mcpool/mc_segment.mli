@@ -76,7 +76,7 @@ val steal_half : ?max_take:int -> 'a t -> 'a Cpool.Steal.loot
     cell. The loot is a fresh list; a thief that keeps the remainder uses
     {!steal_into} instead. Safe from any domain. *)
 
-type 'a took = 'a Mc_segment_core.took = Missed | Took of 'a * int
+type 'a took = Missed | Took of 'a * int
 (** What {!steal_into} moved: the oldest element and the number of
     elements claimed ([>= 1]), or nothing. *)
 
@@ -130,3 +130,9 @@ val invariant_ok : 'a t -> bool
     and only meaningful at quiescence (no thread mid-operation, no
     outstanding reservations); the stress harness calls it after every
     run. *)
+
+val debug_counts : 'a t -> int * int
+(** [(count, stored)]: unlocked snapshot of the atomic count and the
+    stored element count, for checker invariants ([count <= capacity] at
+    every instant; [count = stored] at quiescence). Not linearizable —
+    harness use only. *)

@@ -1,21 +1,20 @@
-(** The segment implementation, as a functor over {!Mc_prim.S}.
+(** The segment as a functor over {!Mc_prim.S}.
 
-    {!Mc_segment} is [Make (Mc_prim.Real)] — the hardware instantiation,
-    where the operations, the ring protocol and the ownership discipline
-    are documented. The interleaving checker instantiates the very same
-    code with instrumented shims ([Cpool_analysis.Sched.Prim]) whose every
-    atomic operation is a scheduling point, so the schedule enumeration
-    exercises the shipped segment logic — including the copy-then-CAS
-    front-window claim shared by owner pops, stealers and ring-to-ring
-    transfers, and the MPSC inbox push/drain — not a hand-written model of
-    it. *)
+    [mc_segment_core.ml] is generated at build time from [mc_segment.ml]
+    (see this directory's dune file): the same text, wrapped in
+    [module Make (Prim : Mc_prim.S) = struct ... end]. {!Mc_segment} is
+    that text compiled against the hardware {!Prim}, where the operations,
+    the ring protocol and the ownership discipline are documented. The
+    interleaving checker applies [Make] to its instrumented shims
+    ([Cpool_analysis.Sched.Prim]), whose every atomic operation is a
+    scheduling point, so the schedule enumeration exercises the shipped
+    segment logic — including the copy-then-CAS front-window claim shared
+    by owner pops, stealers and ring-to-ring transfers, and the MPSC inbox
+    push/drain — not a hand-written model of it. *)
 
-(** What {!SEG.steal_into} moved: [Took (x, w)] when it claimed [w >= 1]
-    elements, the oldest [x] returned to the caller and the other [w - 1]
-    banked in the thief's own segment; [Missed] when it found none. *)
-type 'a took = Missed | Took of 'a * int
+module Make (Prim : Mc_prim.S) : sig
+  type 'a took = Missed | Took of 'a * int
 
-module type SEG = sig
   type 'a t
 
   val make : ?capacity:int -> id:int -> unit -> 'a t
@@ -30,18 +29,8 @@ module type SEG = sig
   val steal_half : ?max_take:int -> 'a t -> 'a Cpool.Steal.loot
   val steal_into : ?reserved:int -> 'a t -> into:'a t -> 'a took
   val reserve : 'a t -> int -> int
-
   val inbox_length : 'a t -> int
-  (** Racy snapshot of the MPSC spill-inbox length (walks the stack). *)
-
   val stats : 'a t -> Mc_stats.t
   val invariant_ok : 'a t -> bool
-
   val debug_counts : 'a t -> int * int
-  (** [(count, stored)]: unlocked snapshot of the atomic count and the
-      stored element count, for checker invariants ([count <= capacity] at
-      every instant; [count = stored] at quiescence). Not linearizable —
-      harness use only. *)
 end
-
-module Make (P : Mc_prim.S) : SEG

@@ -105,7 +105,9 @@ let test_r6_sanctioned_modules () =
   let flagged file =
     count_rule Lint_rules.raw_obj (Lint_driver.lint_source ~file src)
   in
-  Alcotest.(check int) "sanctioned in the segment core" 0
+  Alcotest.(check int) "sanctioned in the segment" 0
+    (flagged "lib/mcpool/mc_segment.ml");
+  Alcotest.(check int) "sanctioned in the segment's functor copy" 0
     (flagged "lib/mcpool/mc_segment_core.ml");
   Alcotest.(check int) "sanctioned in the scheduler" 0
     (flagged "lib/analysis/sched.ml");
@@ -573,6 +575,209 @@ let test_linz_transfer_spec () =
     (linearizable (Some (9, 1)) None);
   Alcotest.(check bool) "more banked than reserved" false (linearizable (Some (1, 3)) (Some 2))
 
+(* One text, two compilations: mc_segment.ml is [Mc_segment] against the
+   hardware primitives and, as generated mc_segment_core.ml, the functor the
+   checker instantiates on [Sched.Prim] (which executes directly outside a
+   run). A seeded single-fiber sequence of operations must give the same
+   result on both, and the same size, inbox length and invariant verdict
+   for every segment after every step. The same for the hint board. *)
+module type SEG = sig
+  type 'a t
+  type 'a took = Missed | Took of 'a * int
+
+  val make : ?capacity:int -> id:int -> unit -> 'a t
+  val size : 'a t -> int
+  val add : 'a t -> 'a -> unit
+  val try_add : 'a t -> 'a -> bool
+  val spill_add : 'a t -> 'a -> bool
+  val try_remove : 'a t -> 'a option
+  val reserve : 'a t -> int -> int
+  val steal_half : ?max_take:int -> 'a t -> 'a Cpool.Steal.loot
+  val steal_into : ?reserved:int -> 'a t -> into:'a t -> 'a took
+  val inbox_length : 'a t -> int
+  val invariant_ok : 'a t -> bool
+end
+
+type seg_op =
+  | Add of int
+  | Try_add of int
+  | Spill_add of int
+  | Try_remove of int
+  | Reserve of int * int
+  | Steal_half of int * int option
+  | Steal_into of int * int  (** victim, into; they may be equal *)
+
+(* Segments 0 and 1 are unbounded, 2 holds at most 5. [add] ignores
+   capacity, so it only targets the unbounded ones; a transfer into the
+   bounded one always goes through a reservation, as [Mc_pool]'s does. *)
+let seg_capacity = [| None; None; Some 5 |]
+
+module Drive_seg (S : SEG) = struct
+  (* One string per step: the operation's result, then every segment's
+     size, inbox length and invariant verdict. *)
+  let run ops =
+    let segs = Array.mapi (fun id capacity -> S.make ?capacity ~id ()) seg_capacity in
+    let held = Array.make (Array.length segs) 0 in
+    let loot = function
+      | Cpool.Steal.Nothing -> "nothing"
+      | Cpool.Steal.Single x -> Printf.sprintf "single %d" x
+      | Cpool.Steal.Batch (x, xs) ->
+        "batch " ^ String.concat "," (List.map string_of_int (x :: xs))
+    in
+    List.mapi
+      (fun v op ->
+        let result =
+          match op with
+          | Add i ->
+            S.add segs.(i) v;
+            "added"
+          | Try_add i -> string_of_bool (S.try_add segs.(i) v)
+          | Spill_add i -> string_of_bool (S.spill_add segs.(i) v)
+          | Try_remove i -> (
+            match S.try_remove segs.(i) with Some x -> string_of_int x | None -> "none")
+          | Reserve (i, k) ->
+            let r = S.reserve segs.(i) k in
+            held.(i) <- held.(i) + r;
+            Printf.sprintf "reserved %d" r
+          | Steal_half (i, max_take) -> loot (S.steal_half ?max_take segs.(i))
+          | Steal_into (victim, i) -> (
+            let reserved =
+              if held.(i) > 0 || seg_capacity.(i) <> None then Some held.(i) else None
+            in
+            held.(i) <- 0;
+            match S.steal_into ?reserved segs.(victim) ~into:segs.(i) with
+            | S.Took (x, w) -> Printf.sprintf "took %d of %d" x w
+            | S.Missed -> "missed")
+        in
+        String.concat " | "
+          (result
+           :: Array.to_list
+                (Array.map
+                   (fun s ->
+                     Printf.sprintf "%d/%d/%b" (S.size s) (S.inbox_length s)
+                       (S.invariant_ok s))
+                   segs)))
+      ops
+end
+
+module Hw_seg = Drive_seg (Cpool_mc.Mc_segment)
+module Shim_seg = Drive_seg (Cpool_mc.Mc_segment_core.Make (Sched.Prim))
+
+(* The first step at which two observation lists part, if any. *)
+let first_difference a b =
+  let rec go i = function
+    | x :: xs, y :: ys -> if String.equal x y then go (i + 1) (xs, ys) else Some (i, x, y)
+    | [], [] -> None
+    | _ -> Some (i, "<ended>", "<ended>")
+  in
+  go 0 (a, b)
+
+let agree name hw shim =
+  match first_difference hw shim with
+  | None -> true
+  | Some (i, x, y) ->
+    QCheck.Test.fail_reportf "%s: step %d: hardware %S, shim %S" name i x y
+
+let seg_op_gen =
+  QCheck.Gen.(
+    let seg = int_bound 2 in
+    frequency
+      [
+        (4, map (fun i -> Add (i mod 2)) seg);
+        (3, map (fun i -> Try_add i) seg);
+        (2, map (fun i -> Spill_add i) seg);
+        (4, map (fun i -> Try_remove i) seg);
+        (1, map2 (fun i k -> Reserve (i, k)) seg (int_bound 3));
+        (2, map2 (fun i m -> Steal_half (i, m)) seg (opt (int_range 1 4)));
+        (3, map2 (fun v i -> Steal_into (v, i)) seg seg);
+      ])
+
+let prop_segment_compilations_agree =
+  QCheck.Test.make ~name:"segment: hardware and shim compilations agree" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 120) seg_op_gen))
+    (fun ops -> agree "segment" (Hw_seg.run ops) (Shim_seg.run ops))
+
+module type HINTS = sig
+  type t
+  type retract_outcome = Retracted | Claim_pending
+
+  val create : slots:int -> unit -> t
+  val waiters : t -> int
+  val publish : t -> int -> unit
+  val try_claim : ?order:int array -> t -> from:int -> int option
+  val release : t -> int -> unit
+  val retract : t -> int -> retract_outcome
+  val is_published : t -> int -> bool
+  val is_free : t -> int -> bool
+  val published_count : t -> int
+end
+
+type hint_op =
+  | Publish of int
+  | Try_claim of int * bool  (** claimer, with an explicit scan order *)
+  | Release of int
+  | Retract of int
+
+let hint_slots = 3
+
+module Drive_hints (H : HINTS) = struct
+  (* Each step keeps to the board's protocol: only a Free slot is
+     published and only a Claimed one released. *)
+  let run ops =
+    let b = H.create ~slots:hint_slots () in
+    List.map
+      (fun op ->
+        let result =
+          match op with
+          | Publish i ->
+            if H.is_free b i then begin
+              H.publish b i;
+              "published"
+            end
+            else "skipped"
+          | Try_claim (from, ordered) -> (
+            let order = if ordered then Some [| 2; 0; 1 |] else None in
+            match H.try_claim ?order b ~from with
+            | Some w -> Printf.sprintf "claimed %d" w
+            | None -> "none")
+          | Release i ->
+            if not (H.is_free b i || H.is_published b i) then begin
+              H.release b i;
+              "released"
+            end
+            else "skipped"
+          | Retract i -> (
+            match H.retract b i with
+            | H.Retracted -> "retracted"
+            | H.Claim_pending -> "claim pending")
+        in
+        String.concat " | "
+          (result
+           :: Printf.sprintf "%d/%d" (H.waiters b) (H.published_count b)
+           :: List.init hint_slots (fun i ->
+                  Printf.sprintf "%b/%b" (H.is_published b i) (H.is_free b i))))
+      ops
+end
+
+module Hw_hints = Drive_hints (Cpool_mc.Mc_hints)
+module Shim_hints = Drive_hints (Cpool_mc.Mc_hints_core.Make (Sched.Prim))
+
+let hint_op_gen =
+  QCheck.Gen.(
+    let slot = int_bound (hint_slots - 1) in
+    frequency
+      [
+        (3, map (fun i -> Publish i) slot);
+        (3, map2 (fun i o -> Try_claim (i, o)) slot bool);
+        (2, map (fun i -> Release i) slot);
+        (2, map (fun i -> Retract i) slot);
+      ])
+
+let prop_hints_compilations_agree =
+  QCheck.Test.make ~name:"hints: hardware and shim compilations agree" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) hint_op_gen))
+    (fun ops -> agree "hints" (Hw_hints.run ops) (Shim_hints.run ops))
+
 let suites =
   [
     ( "lint",
@@ -643,5 +848,10 @@ let suites =
         Alcotest.test_case "CAS claim linearizable" `Quick
           test_linz_passes_correct_claim;
         Alcotest.test_case "transfer spec" `Quick test_linz_transfer_spec;
+      ] );
+    ( "compile-twice",
+      [
+        QCheck_alcotest.to_alcotest prop_segment_compilations_agree;
+        QCheck_alcotest.to_alcotest prop_hints_compilations_agree;
       ] );
   ]

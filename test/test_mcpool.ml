@@ -860,6 +860,31 @@ let test_owner_path_allocation_budget () =
   Alcotest.(check bool)
     (Printf.sprintf "pool add+local pairs: only the Some (saw %.0f words)" pairs)
     true (pairs <= pair_budget);
+  (* A search that finds nothing allocates nothing either: a failed
+     [try_remove] (local miss, one search pass, one sweep) and a [remove]
+     that confirms emptiness (a hunt ending in the confirming sweep), on an
+     empty four-segment pool with one registered handle. *)
+  List.iter
+    (fun kind ->
+      let pool : int Mc_pool.t =
+        Mc_pool.of_config { Mc_pool.Config.default with segments = 4; kind }
+      in
+      let h = Mc_pool.register pool in
+      let misses name op =
+        ignore (op () : int option);
+        let w0 = Gc.minor_words () in
+        for _ = 1 to alloc_ops do
+          if op () <> None then Alcotest.failf "%s found an element" name
+        done;
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s allocates nothing (saw %.0f words)"
+             (Cpool_intf.to_string kind) name words)
+          true (words <= alloc_slack)
+      in
+      misses "failed try_remove" (fun () -> Mc_pool.try_remove pool h);
+      misses "empty-confirming remove" (fun () -> Mc_pool.remove pool h))
+    [ Mc_pool.Linear; Mc_pool.Hinted ];
   (* A ring-to-ring transfer of [w] elements allocates its [Took] block (3
      words) and nothing per element: measured at w = 2 and w = 256 over
      1,000 transfers each, the victim restocked to [2 w] by owner adds
